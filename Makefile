@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race bench-sim bench-short bench-check cover fuzz-smoke diff-fuzz serve serve-test cluster-test soak all
+.PHONY: build test vet lint race bench-sim bench-short bench-check cover fuzz-smoke diff-fuzz serve serve-test cluster-test e2e-smoke soak all
 
 all: build vet lint test
 
@@ -20,8 +20,11 @@ vet:
 # discipline, and resource pairing. -staleignores keeps the
 # suppression inventory honest: an //bplint:ignore that no longer
 # suppresses anything fails the build until it is deleted. See
-# README.md "Static analysis" and DESIGN.md §14.
+# README.md "Static analysis" and DESIGN.md §14. gofmt runs first:
+# any file it would reformat fails the target.
 lint:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/bplint -staleignores ./...
 
 test:
@@ -50,6 +53,13 @@ serve-test:
 cluster-test:
 	$(GO) test -race -count=1 ./internal/cluster/
 
+# e2e-smoke builds, vets, and smoke-tests the end-to-end benchmark
+# harness. e2ebench/ is its own module, so the root build and test
+# never compile it; this target catches a removed or renamed export it
+# depends on before the benchmark pipeline does.
+e2e-smoke:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
 # soak extends the trace-plane churn test (concurrent uploads, sweeps,
 # cancels, and decoded-cache eviction over a mixed resident/streaming
 # trace population, with a mid-flight drain + restart) to a sustained
@@ -64,11 +74,11 @@ soak:
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-sim measures the simulation engine (generic vs byte-batched
-# vs bit-packed kernels, fused vs per-config sweeps) and records the
-# results as BENCH_sim.json so the perf trajectory is tracked across
-# PRs.
-BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepFusion
+# bench-sim measures the simulation engine (generic vs batched
+# kernels per scheme, plus one multi-config gshare sweep) and records
+# the results as BENCH_sim.json so the perf trajectory is tracked
+# across PRs.
+BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked
 
 bench-sim:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s . \

@@ -332,15 +332,15 @@ func kernelBenchConfigs() map[string]func() core.Predictor {
 		"gshare-metered": func() core.Predictor {
 			return core.NewGShare(8, 4).EnableMeter()
 		},
-		// A cache-hostile geometry (2^20 counters): the byte table is
-		// 1 MiB, the packed bank 256 KiB — this is where bit-packing
-		// pays, as opposed to the L1-resident tables above.
+		// A cache-hostile geometry (2^20 counters, a 1 MiB byte table),
+		// as opposed to the L1-resident tables above.
 		"gshare-1m": func() core.Predictor { return core.NewGShare(16, 4) },
-		// Modern families (DESIGN.md §15). Their kernels are selected by
-		// concrete type, so all three bench modes exercise the same fast
-		// path; the series tracks the per-branch cost of the multi-table
-		// TAGE step, the perceptron dot product, and the three-table
-		// tournament against the classic schemes.
+		// Modern families (DESIGN.md §15). Their kernels drive the
+		// concrete Access step, so "batched" differs from "generic" only
+		// by static vs interface dispatch; the series tracks the
+		// per-branch cost of the multi-table TAGE step, the perceptron
+		// dot product, and the three-table tournament against the
+		// classic schemes.
 		"tage4": func() core.Predictor {
 			return core.NewTAGE(8, 10, core.TAGEParams{Tables: 4}, false)
 		},
@@ -352,13 +352,11 @@ func kernelBenchConfigs() map[string]func() core.Predictor {
 }
 
 // BenchmarkKernels compares the generic interface-dispatched loop
-// (sim.Run) against both batched kernel families per scheme: the
-// byte-per-counter kernels ("batched", pinned to sim.KernelByte so the
-// series stays comparable across baselines) and the bit-packed banks
-// ("packed", what sim.RunTrace now selects by default for 2-bit
-// tables). The ratios over generic are the fast path's headline
-// numbers; scripts/bench emits them as BENCH_sim.json for cross-PR
-// tracking and `make bench-check` gates regressions against it.
+// (sim.Run) against the batched byte-per-counter kernels
+// (sim.RunTrace) per scheme. The ratios over generic are the fast
+// path's headline numbers; `make bench-sim` records them as
+// BENCH_sim.json for cross-PR tracking and `make bench-check` gates
+// regressions against it.
 func BenchmarkKernels(b *testing.B) {
 	prof, _ := workload.ProfileByName("espresso")
 	tr := workload.Generate(prof, 1, 500_000)
@@ -372,23 +370,16 @@ func BenchmarkKernels(b *testing.B) {
 		b.Run(name+"/batched", func(b *testing.B) {
 			b.SetBytes(int64(tr.Len()))
 			for i := 0; i < b.N; i++ {
-				sim.RunTrace(mk(), tr, sim.Options{Kernel: sim.KernelByte})
-			}
-		})
-		b.Run(name+"/packed", func(b *testing.B) {
-			b.SetBytes(int64(tr.Len()))
-			for i := 0; i < b.N; i++ {
-				sim.RunTrace(mk(), tr, sim.Options{Kernel: sim.KernelPacked})
+				sim.RunTrace(mk(), tr, sim.Options{})
 			}
 		})
 	}
 }
 
 // BenchmarkSweepChunked measures the multi-configuration executor end
-// to end: one gshare tier sweep over a shared trace. The default
-// options take the config-parallel fused path (one trace pass drives
-// the whole mask-compatible axis); this is the Figure-4-shaped
-// workload the engine exists for.
+// to end: one gshare tier sweep over a shared trace, every geometry on
+// its own kernel, chunk-shared across workers. This is the
+// Figure-4-shaped workload the engine exists for.
 func BenchmarkSweepChunked(b *testing.B) {
 	prof, _ := workload.ProfileByName("espresso")
 	tr := workload.Generate(prof, 1, 300_000)
@@ -398,27 +389,5 @@ func BenchmarkSweepChunked(b *testing.B) {
 		if _, err := sim.RunConfigs(configs, tr, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSweepFusion isolates the fusion win on the same sweep:
-// "fused" is the config-parallel path, "per-config" runs every
-// geometry through its own kernel (the pre-fusion executor).
-func BenchmarkSweepFusion(b *testing.B) {
-	prof, _ := workload.ProfileByName("espresso")
-	tr := workload.Generate(prof, 1, 300_000)
-	configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, MinBits: 4, MaxBits: 10})
-	for _, v := range []struct {
-		name   string
-		noFuse bool
-	}{{"fused", false}, {"per-config", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.SetBytes(int64(tr.Len() * len(configs)))
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunConfigs(configs, tr, sim.Options{NoFuse: v.noFuse}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -14,9 +14,9 @@
 // history-register fields like hist/value/ghist/phist), and anything
 // arithmetically derived from them. A masking operation — x & m or
 // x % m — launders the result clean; derivations of a clean index
-// stay clean, which is what admits the bit-packed counter-bank idiom
-// (word = idx>>5, lane = idx&31 from an already-masked idx). Three
-// rules are enforced:
+// stay clean, which is what admits shift-derived sub-indices such as
+// a bit-packed counter lane (word = idx>>5, lane = idx&31 from an
+// already-masked idx). Three rules are enforced:
 //
 //  1. A slice or array index expression must be clean: every tainted
 //     term must pass through & (len(t)-1), & ((1<<bits)-1), or % m

@@ -130,10 +130,14 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 		// nil is possible when the fleet outran the partition.
 		t.Fatalf("interrupted RunCells: %v", err)
 	}
-	completed1 := coord1.Counters().Snapshot().ConfigsCompleted
 	if err := coord1.Stop(); err != nil {
 		t.Fatalf("stopping first coordinator: %v", err)
 	}
+	// Read the first incarnation's tally only after Stop: a completion
+	// already past the chaos link's partition check may still land
+	// until then. Complete refuses work once the coordinator is closed,
+	// so the count is final here.
+	completed1 := coord1.Counters().Snapshot().ConfigsCompleted
 
 	// "Restart": a fresh coordinator over the same ledger directory.
 	coord2 := NewCoordinator(Config{Dir: dir, ChunkCells: 2})

@@ -27,8 +27,8 @@ type Config struct {
 	Dir string
 	// ChunkCells is the number of cells per dispatch chunk
 	// (default 8). Smaller chunks bound the work a crash loses;
-	// larger ones amortize dispatch and let the fused kernels run
-	// wider config groups in one trace pass.
+	// larger ones amortize dispatch and let one chunk-shared pass over
+	// the trace feed more configurations.
 	ChunkCells int
 	// Vnodes is the virtual-node count per worker on the hash ring
 	// (default DefaultVnodes).

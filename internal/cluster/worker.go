@@ -139,7 +139,7 @@ func (w *Worker) sleep(ctx context.Context) {
 
 // execute runs one chunk: cells present in the local replica cache
 // are answered directly, the rest go through sim.RunConfigsCtx in one
-// call (so the fused config-parallel kernels see the whole slab). It
+// call (so one chunk-shared pass per worker serves the whole slab). It
 // returns nil when ctx was canceled mid-chunk — the partial work is
 // dropped and the chunk stays the coordinator's to re-queue.
 func (w *Worker) execute(ctx context.Context, ch *Chunk) *ChunkResult {

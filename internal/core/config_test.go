@@ -100,10 +100,10 @@ func TestMustBuildPanics(t *testing.T) {
 
 func TestSchemeStrings(t *testing.T) {
 	want := map[Scheme]string{
-		SchemeAddress: "address",
-		SchemeGAs:     "GAs",
-		SchemeGShare:  "gshare",
-		SchemePath:    "path",
+		SchemeAddress:    "address",
+		SchemeGAs:        "GAs",
+		SchemeGShare:     "gshare",
+		SchemePath:       "path",
 		SchemePAs:        "PAs",
 		SchemeTAGE:       "tage",
 		SchemePerceptron: "perceptron",

@@ -133,6 +133,17 @@ func (t *McFarling) Update(b trace.Branch) {
 	t.ghr = (t.ghr<<1 | b2taken(taken)) & t.gMask
 }
 
+// Access is the fused per-branch step — predict, then train — and
+// returns the prediction made before training. The batched kernel
+// drives this method directly.
+//
+//bpred:kernel
+func (t *McFarling) Access(b trace.Branch) bool {
+	p := t.Predict(b)
+	t.Update(b)
+	return p
+}
+
 // Name identifies the configuration.
 func (t *McFarling) Name() string { return t.name }
 
@@ -146,24 +157,6 @@ func (t *McFarling) AliasStats() AliasStats {
 	}
 	return t.meter.Stats()
 }
-
-// Kernel accessors: the batched kernel hoists the raw tables and
-// writes the history register back per chunk.
-
-// Tables exposes the gshare, bimodal, and chooser counter arrays.
-func (t *McFarling) Tables() (gshare, bimodal, chooser []uint8) {
-	return t.gshare, t.bimodal, t.chooser
-}
-
-// Masks returns the gshare, bimodal, and chooser index masks.
-func (t *McFarling) Masks() (g, b, c uint64) { return t.gMask, t.bMask, t.cMask }
-
-// Hist returns the current history-register value.
-func (t *McFarling) Hist() uint64 { return t.ghr }
-
-// SetHist stores the history register (the kernel's chunk-end
-// write-back; v must already be masked to the gshare mask).
-func (t *McFarling) SetHist(v uint64) { t.ghr = v & t.gMask }
 
 var (
 	_ Predictor     = (*McFarling)(nil)

@@ -75,13 +75,10 @@ func (t *Perceptron) Predict(b trace.Branch) bool {
 	base := int(idx) * (t.histLen + 1)
 	y := int64(t.weights[base])
 	h := t.ghr
-	for k := 0; k < t.histLen; k++ {
-		w := int64(t.weights[base+1+k])
-		if h&1 != 0 {
-			y += w
-		} else {
-			y -= w
-		}
+	// A sign multiplier (+1 taken, -1 not taken) keeps the dot
+	// product free of a data-dependent branch per history bit.
+	for _, w := range t.weights[base+1 : base+1+t.histLen] {
+		y += (int64(h&1)<<1 - 1) * int64(w)
 		h >>= 1
 	}
 	t.pBase = base
@@ -128,6 +125,17 @@ func (t *Perceptron) Update(b trace.Branch) {
 	t.ghr = (t.ghr<<1 | b2taken(taken)) & t.histMask
 }
 
+// Access is the fused per-branch step — predict, then train — and
+// returns the prediction made before training. The batched kernel
+// drives this method directly.
+//
+//bpred:kernel
+func (t *Perceptron) Access(b trace.Branch) bool {
+	p := t.Predict(b)
+	t.Update(b)
+	return p
+}
+
 // Name identifies the configuration.
 func (t *Perceptron) Name() string { return t.name }
 
@@ -141,35 +149,6 @@ func (t *Perceptron) AliasStats() AliasStats {
 	}
 	return t.meter.Stats()
 }
-
-// Kernel accessors: the batched kernel hoists the raw state and
-// writes the history register back per chunk.
-
-// Weights exposes the flat weight table (vectors of HistLen()+1
-// weights, bias first).
-func (t *Perceptron) Weights() []int32 { return t.weights }
-
-// HistLen returns the history length H.
-func (t *Perceptron) HistLen() int { return t.histLen }
-
-// ColMask returns the perceptron-index mask.
-func (t *Perceptron) ColMask() uint64 { return t.colMask }
-
-// HistMask returns the history-register mask.
-func (t *Perceptron) HistMask() uint64 { return t.histMask }
-
-// Threshold returns the training threshold theta.
-func (t *Perceptron) Threshold() int64 { return t.threshold }
-
-// WeightRange returns the clamp bounds.
-func (t *Perceptron) WeightRange() (min, max int32) { return t.wmin, t.wmax }
-
-// Hist returns the current history-register value.
-func (t *Perceptron) Hist() uint64 { return t.ghr }
-
-// SetHist stores the history register (the kernel's chunk-end
-// write-back; v must already be masked to HistMask).
-func (t *Perceptron) SetHist(v uint64) { t.ghr = v & t.histMask }
 
 var (
 	_ Predictor     = (*Perceptron)(nil)

@@ -9,28 +9,6 @@ import (
 	"bpred/internal/trace"
 )
 
-// TestBatteryKernelModes pins both batched kernel families against the
-// oracle independently: the byte-per-counter reference kernels and the
-// bit-packed banks must each be bit-identical to the reference model
-// over the full battery. (The default KernelAuto path is covered by
-// TestBatteryDifferential.)
-func TestBatteryKernelModes(t *testing.T) {
-	tr := SynthTrace(3, 1500)
-	opts := []sim.Options{
-		{Kernel: sim.KernelByte},
-		{Kernel: sim.KernelPacked},
-		{Kernel: sim.KernelByte, Warmup: 137, Chunk: 64},
-		{Kernel: sim.KernelPacked, Warmup: 137, Chunk: 64},
-	}
-	for _, metered := range []bool{false, true} {
-		for _, cfg := range Battery(metered) {
-			for _, opt := range opts {
-				requireEqual(t, cfg, tr, opt)
-			}
-		}
-	}
-}
-
 // oracleScored replays one configuration through the reference model.
 func oracleScored(t *testing.T, cfg core.Config, branches []trace.Branch, warmup int) Scored {
 	t.Helper()
@@ -45,11 +23,12 @@ func oracleScored(t *testing.T, cfg core.Config, branches []trace.Branch, warmup
 	return ReplayOracle(m, branches, warmup)
 }
 
-// TestFusedSweepVsOracle runs whole mask-compatible sweep axes through
-// the config-parallel fused path and demands every geometry's scored
-// counts match an independent oracle replay — the differential
-// contract extended over fusion.
-func TestFusedSweepVsOracle(t *testing.T) {
+// TestSweepAxesVsOracle runs whole sweep axes through the
+// multi-config executor (sim.RunConfigs, one batch per worker) and
+// demands every geometry's scored counts match an independent oracle
+// replay — the differential contract extended over many
+// configurations sharing one trace.
+func TestSweepAxesVsOracle(t *testing.T) {
 	tr := SynthTrace(11, 2500)
 	axes := map[string][]core.Config{}
 	for rb := 3; rb <= 8; rb++ {
@@ -72,7 +51,7 @@ func TestFusedSweepVsOracle(t *testing.T) {
 			for i, cfg := range configs {
 				want := oracleScored(t, cfg, tr.Branches, opt.Warmup)
 				if got[i].Branches != want.Branches || got[i].Mispredicts != want.Mispredicts {
-					t.Errorf("%s %s (warmup %d): fused engine %d/%d mispredicts, oracle %d/%d",
+					t.Errorf("%s %s (warmup %d): engine %d/%d mispredicts, oracle %d/%d",
 						name, cfg.Fingerprint(), opt.Warmup,
 						got[i].Mispredicts, got[i].Branches, want.Mispredicts, want.Branches)
 				}

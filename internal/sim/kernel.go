@@ -46,58 +46,37 @@ func chunkLen(opt Options) int {
 // caller's concern.
 type kernelFunc func(chunk []trace.Branch) uint64
 
-// kernel is one selected fast path: the chunk loop plus an optional
-// epilogue. Kernels that mirror predictor state into a faster layout
-// (the packed counter banks of kernel_packed.go) set flush to write
-// the final state back into the predictor; kernels operating on the
-// predictor's own storage leave it nil.
-type kernel struct {
-	run   kernelFunc
-	flush func()
-}
-
 // kernelFor returns the monomorphic kernel for p, or the generic
-// interface-driven chunk loop when no fast path applies. The default
-// is the byte-per-counter kernels: a single predictor's table update
-// is load-dependent, and on the cores we measure the packed bank's
-// extra lane arithmetic costs more than its 4x footprint saves (see
-// DESIGN.md). KernelPacked forces the bit-packed bank for 2-bit
-// counter tables — kept as a first-class mode for differential
-// testing and for cache-constrained hosts where the footprint wins.
-func kernelFor(p core.Predictor, mode KernelMode) kernel {
+// interface-driven chunk loop when no fast path applies.
+func kernelFor(p core.Predictor) kernelFunc {
 	switch m := p.(type) {
 	case *core.TAGE:
-		return kernel{run: tageKernel(m)}
+		return tageKernel(m)
 	case *core.Perceptron:
-		return kernel{run: perceptronKernel(m)}
+		return perceptronKernel(m)
 	case *core.McFarling:
-		return kernel{run: mcfarlingKernel(m)}
+		return mcfarlingKernel(m)
 	}
 	t, ok := p.(*core.TwoLevel)
 	if !ok {
-		return kernel{run: genericKernel(p)}
+		return genericKernel(p)
 	}
 	tab, meter := t.Table(), t.Meter()
-	if mode == KernelPacked && tab.CounterBits() == 2 {
-		if k := packedKernelFor(t); k.run != nil {
+	switch sel := t.Selector().(type) {
+	case core.ZeroSelector:
+		return zeroKernel(tab, meter)
+	case *core.GlobalSelector:
+		return globalKernel(tab, meter, sel.Reg())
+	case *core.GShareSelector:
+		return gshareKernel(tab, meter, sel.Reg(), sel.ColBits())
+	case *core.PathSelector:
+		return pathKernel(tab, meter, sel.Reg())
+	case *core.PerAddressSelector:
+		if k := perAddressKernel(tab, meter, sel); k != nil {
 			return k
 		}
 	}
-	switch sel := t.Selector().(type) {
-	case core.ZeroSelector:
-		return kernel{run: zeroKernel(tab, meter)}
-	case *core.GlobalSelector:
-		return kernel{run: globalKernel(tab, meter, sel.Reg())}
-	case *core.GShareSelector:
-		return kernel{run: gshareKernel(tab, meter, sel.Reg(), sel.ColBits())}
-	case *core.PathSelector:
-		return kernel{run: pathKernel(tab, meter, sel.Reg())}
-	case *core.PerAddressSelector:
-		if k := perAddressKernel(tab, meter, sel); k != nil {
-			return kernel{run: k}
-		}
-	}
-	return kernel{run: genericKernel(p)}
+	return genericKernel(p)
 }
 
 // genericKernel adapts any Predictor to the chunk interface with the
@@ -127,12 +106,23 @@ func genericKernel(p core.Predictor) kernelFunc {
 // the counter package tests and by kernel_test.go.
 
 // The unmetered kernels additionally specialize the paper's default
-// 2-bit counters: the ctrStep table (fused.go) folds the saturating
-// transition and the mispredict bit into one L1-resident lookup,
-// replacing the compare-and-mask saturate plus the threshold compare.
-// For 2-bit state the threshold test (s >= 2) is exactly the counter
-// MSB, so ctrStep's mispredict bit equals (s >= thresh) != taken.
-// Wider counters and metered runs keep the general branchless form.
+// 2-bit counters: the ctrStep table folds the saturating transition
+// and the mispredict bit into one L1-resident lookup, replacing the
+// compare-and-mask saturate plus the threshold compare. For 2-bit
+// state the threshold test (s >= 2) is exactly the counter MSB, so
+// ctrStep's mispredict bit equals (s >= thresh) != taken. Wider
+// counters and metered runs keep the general branchless form.
+//
+// ctrStep[s<<1|u] == next(s,u) | ((s>>1)^u)<<8. The table is sized
+// 256 and indexed by a uint8 expression so the compiler elides the
+// bounds check without a masking AND; entries past 7 are never
+// reached (counter states are 0..3).
+var ctrStep = [256]uint16{
+	0b00<<1 | 0: 0 | 0<<8, 0b00<<1 | 1: 1 | 1<<8,
+	0b01<<1 | 0: 0 | 0<<8, 0b01<<1 | 1: 2 | 1<<8,
+	0b10<<1 | 0: 1 | 1<<8, 0b10<<1 | 1: 3 | 0<<8,
+	0b11<<1 | 0: 2 | 1<<8, 0b11<<1 | 1: 3 | 0<<8,
+}
 
 // zeroKernel is the address-indexed (bimodal) fast path: row 0, so
 // only the column index varies.
@@ -265,7 +255,8 @@ func gshareKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.Shift
 	if meter == nil && max == 3 && thresh == 2 && uint(colBits) == colShift {
 		// Selector and table agree on the column width (true by
 		// construction in NewGShare), so the XOR's address shift folds
-		// into the shifted row mask exactly as in laneGShareBytes4.
+		// into the shifted row mask: (val<<c ^ pc2) & (rowMask<<c) is
+		// ((val ^ pc2>>c) & rowMask) << c.
 		rm := rowMask << colShift
 		return func(chunk []trace.Branch) uint64 {
 			var miss uint64
@@ -480,14 +471,14 @@ func perAddressKernel(tab *counter.Table, meter *core.AliasMeter, sel *core.PerA
 // does: warm branches train (and meter) but are not scored.
 type runner struct {
 	p    core.Predictor
-	k    kernel
+	k    kernelFunc
 	warm int
 	m    Metrics
 	obs  *obs.Counters
 }
 
 func newRunner(p core.Predictor, opt Options) runner {
-	return runner{p: p, k: kernelFor(p, opt.Kernel), warm: opt.Warmup, obs: opt.Obs}
+	return runner{p: p, k: kernelFor(p), warm: opt.Warmup, obs: opt.Obs}
 }
 
 // feed processes one chunk, splitting it at the warmup boundary when
@@ -503,7 +494,7 @@ func (r *runner) feed(chunk []trace.Branch) {
 		if n > len(chunk) {
 			n = len(chunk)
 		}
-		r.k.run(chunk[:n])
+		r.k(chunk[:n])
 		r.warm -= n
 		chunk = chunk[n:]
 		if len(chunk) == 0 {
@@ -511,24 +502,15 @@ func (r *runner) feed(chunk []trace.Branch) {
 		}
 	}
 	r.m.Branches += uint64(len(chunk))
-	r.m.Mispredicts += r.k.run(chunk)
+	r.m.Mispredicts += r.k(chunk)
 }
 
 // finish assembles the final Metrics, mirroring the reference loop's
-// epilogue. Kernels holding mirrored state flush it back first so the
-// predictor is left bit-identical to a byte-kernel or generic run.
+// epilogue.
 func (r *runner) finish() Metrics {
-	if r.k.flush != nil {
-		r.k.flush()
-	}
 	m := r.m
 	m.Name = r.p.Name()
-	if ar, ok := r.p.(core.AliasReporter); ok {
-		m.Alias = ar.AliasStats()
-	}
-	if fr, ok := r.p.(core.FirstLevelReporter); ok {
-		m.FirstLevelMissRate = fr.FirstLevelMissRate()
-	}
+	finishMetrics(&m, r.p)
 	return m
 }
 

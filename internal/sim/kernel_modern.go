@@ -5,15 +5,13 @@ import (
 	"bpred/internal/trace"
 )
 
-// Modern-scheme kernels (DESIGN.md §15). TAGE's per-branch step is
-// inherently multi-table and stash-driven, so its kernel drives the
-// concrete, fully monomorphic core.TAGE.Access directly — every call
-// in the loop is a static dispatch the inliner can see through. The
-// perceptron and tournament kernels follow the classic pattern: raw
-// state hoisted into locals, the history value carried in a register
-// across the chunk and written back at the end, and the bit-identity
-// with the generic Predict/Update path enforced by kernel_test.go and
-// the refmodel differential harness.
+// Modern-scheme kernels (DESIGN.md §15). Each family keeps its whole
+// per-branch step in its concrete Access method (predict, then
+// train), so the kernel and the generic Predict/Update path execute
+// literally the same code. The kernels differ only in the concrete
+// receiver type: every call in the loop is a static dispatch the
+// compiler can see through, where genericKernel pays two interface
+// calls per branch.
 
 // tageKernel is the SchemeTAGE fast path.
 //
@@ -29,146 +27,30 @@ func tageKernel(t *core.TAGE) kernelFunc {
 	}
 }
 
-// perceptronKernel is the SchemePerceptron fast path: the weight
-// table, clamp bounds, and history register are hoisted; the dot
-// product uses a sign multiplier instead of a per-weight branch.
+// perceptronKernel is the SchemePerceptron fast path.
 //
 //bpred:kernel
 func perceptronKernel(t *core.Perceptron) kernelFunc {
-	weights := t.Weights()
-	hl := t.HistLen()
-	stride := hl + 1
-	colMask, histMask := t.ColMask(), t.HistMask()
-	theta := t.Threshold()
-	wmin, wmax := t.WeightRange()
-	meter := t.Meter()
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := t.Hist()
-			for i := range chunk {
-				b := chunk[i]
-				idx := int((b.PC >> 2) & colMask)
-				base := idx * stride
-				y := int64(weights[base])
-				h := val
-				for k := 0; k < hl; k++ {
-					sign := int64(h&1)<<1 - 1
-					y += sign * int64(weights[base+1+k])
-					h >>= 1
-				}
-				pred := y >= 0
-				meter.Record(idx, b.PC, b.Taken, val == histMask)
-				mag := y
-				if mag < 0 {
-					mag = -mag
-				}
-				if pred != b.Taken || mag <= theta {
-					trainPerceptron(weights[base:base+stride], val, b.Taken, wmin, wmax)
-				}
-				val = (val<<1 | uint64(b2u8(b.Taken))) & histMask
-				miss += b2u64(pred != b.Taken)
-			}
-			t.SetHist(val)
-			return miss
-		}
-	}
 	return func(chunk []trace.Branch) uint64 {
 		var miss uint64
-		val := t.Hist()
 		for i := range chunk {
 			b := chunk[i]
-			idx := int((b.PC >> 2) & colMask)
-			base := idx * stride
-			y := int64(weights[base])
-			h := val
-			for k := 0; k < hl; k++ {
-				sign := int64(h&1)<<1 - 1
-				y += sign * int64(weights[base+1+k])
-				h >>= 1
-			}
-			pred := y >= 0
-			mag := y
-			if mag < 0 {
-				mag = -mag
-			}
-			if pred != b.Taken || mag <= theta {
-				trainPerceptron(weights[base:base+stride], val, b.Taken, wmin, wmax)
-			}
-			val = (val<<1 | uint64(b2u8(b.Taken))) & histMask
-			miss += b2u64(pred != b.Taken)
+			miss += b2u64(t.Access(b) != b.Taken)
 		}
-		t.SetHist(val)
 		return miss
 	}
 }
 
-// trainPerceptron applies the clamped weight update to one vector
-// (bias first). Kept out of line so both kernel closures share it;
-// the slice header is computed from an already-masked index.
-//
-//bpred:kernel
-func trainPerceptron(vec []int32, hist uint64, taken bool, wmin, wmax int32) {
-	w := vec[0]
-	if taken {
-		if w < wmax {
-			vec[0] = w + 1
-		}
-	} else if w > wmin {
-		vec[0] = w - 1
-	}
-	h := hist
-	for k := 1; k < len(vec); k++ {
-		w := vec[k]
-		if (h&1 != 0) == taken {
-			if w < wmax {
-				vec[k] = w + 1
-			}
-		} else if w > wmin {
-			vec[k] = w - 1
-		}
-		h >>= 1
-	}
-}
-
-// mcfarlingKernel is the SchemeTournament fast path: three hoisted
-// two-bit tables with branchless saturating steps; the chooser trains
-// only when the components disagree.
+// mcfarlingKernel is the SchemeTournament fast path.
 //
 //bpred:kernel
 func mcfarlingKernel(t *core.McFarling) kernelFunc {
-	gshare, bimodal, chooser := t.Tables()
-	gMask, bMask, cMask := t.Masks()
-	meter := t.Meter()
 	return func(chunk []trace.Branch) uint64 {
 		var miss uint64
-		val := t.Hist()
 		for i := range chunk {
 			b := chunk[i]
-			word := b.PC >> 2
-			gi := int((val ^ word) & gMask)
-			bi := int(word & bMask)
-			ci := int(word & cMask)
-			gs, bs, cs := gshare[gi], bimodal[bi], chooser[ci]
-			gp, bp := gs >= 2, bs >= 2
-			pred := bp
-			if cs >= 2 {
-				pred = gp
-			}
-			if meter != nil {
-				meter.Record(gi, b.PC, b.Taken, val == gMask)
-			}
-			up := b2u8(b.Taken)
-			gshare[gi] = gs + up&b2u8(gs < 3) - (1-up)&b2u8(gs > 0)
-			bimodal[bi] = bs + up&b2u8(bs < 3) - (1-up)&b2u8(bs > 0)
-			if gp != bp {
-				gup := b2u8(gp == b.Taken)
-				chooser[ci] = cs + gup&b2u8(cs < 3) - (1-gup)&b2u8(cs > 0)
-			}
-			val = (val<<1 | uint64(up)) & gMask
-			miss += b2u64(pred != b.Taken)
+			miss += b2u64(t.Access(b) != b.Taken)
 		}
-		t.SetHist(val)
 		return miss
 	}
 }

@@ -95,36 +95,25 @@ func equivalenceSchemes() map[string]func() core.Predictor {
 	}
 }
 
-// checkEquivalent runs generic, byte-kernel, and packed-kernel copies
-// of one scheme over one trace and fails unless every metric and the
-// final second-level state match exactly. (For schemes without a
-// packed kernel — wide counters, custom predictors — KernelPacked and
-// KernelByte select the same path; the redundancy is cheap and keeps
-// the mode matrix uniform.)
+// checkEquivalent runs generic and batched copies of one scheme over
+// one trace and fails unless every metric and the final second-level
+// state match exactly.
 func checkEquivalent(t *testing.T, name string, build func() core.Predictor, tr *trace.Trace, opt Options) {
 	t.Helper()
-	ref := build()
+	ref, fast := build(), build()
 	want := Run(ref, tr.NewSource(), opt)
-	for _, mode := range []struct {
-		name string
-		m    KernelMode
-	}{{"byte", KernelByte}, {"packed", KernelPacked}} {
-		fast := build()
-		mopt := opt
-		mopt.Kernel = mode.m
-		got := RunTrace(fast, tr, mopt)
-		if got != want {
-			t.Errorf("%s/%s: batched metrics diverge\n got: %+v\nwant: %+v", name, mode.name, got, want)
-		}
-		rt, okRef := ref.(*core.TwoLevel)
-		ft, okFast := fast.(*core.TwoLevel)
-		if okRef && okFast {
-			for i := 0; i < rt.Table().Size(); i++ {
-				if rt.Table().State(i) != ft.Table().State(i) {
-					t.Errorf("%s/%s: second-level state diverges at entry %d: generic %d, batched %d",
-						name, mode.name, i, rt.Table().State(i), ft.Table().State(i))
-					break
-				}
+	got := RunTrace(fast, tr, opt)
+	if got != want {
+		t.Errorf("%s: batched metrics diverge\n got: %+v\nwant: %+v", name, got, want)
+	}
+	rt, okRef := ref.(*core.TwoLevel)
+	ft, okFast := fast.(*core.TwoLevel)
+	if okRef && okFast {
+		for i := 0; i < rt.Table().Size(); i++ {
+			if rt.Table().State(i) != ft.Table().State(i) {
+				t.Errorf("%s: second-level state diverges at entry %d: generic %d, batched %d",
+					name, i, rt.Table().State(i), ft.Table().State(i))
+				break
 			}
 		}
 	}

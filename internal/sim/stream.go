@@ -17,10 +17,9 @@ import (
 // length. Metrics are bit-identical to RunConfigsCtx over the decoded
 // trace — chunking does not affect results (the metamorphic suite
 // pins this), and the per-config runners here are the same ones the
-// in-memory unfused path uses. Config-parallel fusion does not apply:
-// fusion re-orders the trace walk around lane tiles, which would need
-// the whole trace; the streaming path instead parallelizes across
-// configs within each chunk.
+// in-memory path uses. Where the in-memory path gives each worker its
+// own walk over the resident trace, the streaming path decodes each
+// chunk once and parallelizes across configs within it.
 //
 // Cancellation is checked at chunk boundaries only (kernels stay
 // pure). On cancellation every returned entry is zero — a single

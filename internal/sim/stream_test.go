@@ -44,7 +44,7 @@ func TestStreamEquivalence(t *testing.T) {
 		{Warmup: 3, Chunk: 511},
 		{Warmup: 25_000, Chunk: 7}, // warmup exceeds the trace
 	}
-	for name, configs := range fusedAxes() {
+	for name, configs := range configAxes() {
 		for oi, opt := range opts {
 			want, err := RunConfigsCtx(context.Background(), configs, tr, opt)
 			if err != nil {

@@ -59,7 +59,7 @@ const (
 	maxBlockLen = 1 << 16
 	// DefaultBlockLen is the writer's default records-per-block. 1024
 	// records decode to a 24 KB window — resident in L1d next to the
-	// predictor tables, matching the fused kernels' decode tiles.
+	// predictor tables.
 	DefaultBlockLen = 1024
 )
 
