@@ -75,10 +75,10 @@ bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-sim measures the simulation engine (generic vs batched
-# kernels per scheme, plus one multi-config gshare sweep) and records
-# the results as BENCH_sim.json so the perf trajectory is tracked
-# across PRs.
-BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked
+# kernels per scheme, one multi-config gshare sweep, and one tier-8
+# sweep per modern family) and records the results as BENCH_sim.json
+# so the perf trajectory is tracked across PRs.
+BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepModern
 
 bench-sim:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s . \
@@ -135,6 +135,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiffTAGE -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffPerceptron -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffTournament -fuzztime 10s ./internal/refmodel/diff/
+	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 10s ./internal/core/
 
 # diff-fuzz differentially fuzzes every scheme family against the
 # independent reference model (internal/refmodel): random traces,

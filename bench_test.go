@@ -391,3 +391,31 @@ func BenchmarkSweepChunked(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepModern runs one modern family's tier-2^8 sweep —
+// every row/column split of the budget, each on its own kernel — over
+// a 256K-branch gcc trace: the shape of one cold sweep-service job.
+// Unlike BenchmarkKernels' fixed geometries, the splits cover every
+// fold width TAGE's index hash uses, 0 through 8.
+func BenchmarkSweepModern(b *testing.B) {
+	prof, _ := workload.ProfileByName("gcc")
+	tr := workload.Generate(prof, 1, 1<<18)
+	for _, s := range []struct {
+		name   string
+		scheme core.Scheme
+	}{
+		{"tage", core.SchemeTAGE},
+		{"perceptron", core.SchemePerceptron},
+		{"tournament", core.SchemeTournament},
+	} {
+		configs := sweep.Configs(sweep.Options{Scheme: s.scheme, Tiers: []int{8}})
+		b.Run(s.name, func(b *testing.B) {
+			b.SetBytes(int64(tr.Len() * len(configs)))
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunConfigs(configs, tr, sim.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -88,7 +88,7 @@ func BadAccess(t []uint8, p *history.Perfect, b branch) uint8 {
 }
 
 // fold XOR-folds a history pattern; its result stays tainted (taint
-// flows through ^ and >>), exactly like the engine's foldHist.
+// flows through ^ and >>), like a from-scratch history fold.
 func fold(h uint64, width int) uint64 {
 	var f uint64
 	for h != 0 {

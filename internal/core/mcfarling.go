@@ -41,8 +41,8 @@ type McFarling struct {
 	pG   uint64
 	pB   uint64
 	pC   uint64
-	gp   bool
-	bp   bool
+	gp   uint8 // the gshare component's direction, 1 = taken
+	bp   uint8 // the bimodal component's direction
 	pred bool
 }
 
@@ -86,13 +86,11 @@ func (t *McFarling) Predict(b trace.Branch) bool {
 	t.pG = (t.ghr ^ word) & t.gMask
 	t.pB = word & t.bMask
 	t.pC = word & t.cMask
-	t.gp = t.gshare[t.pG] >= 2
-	t.bp = t.bimodal[t.pB] >= 2
-	if t.chooser[t.pC] >= 2 {
-		t.pred = t.gp
-	} else {
-		t.pred = t.bp
-	}
+	// A two-bit counter's high bit is its direction; the chooser's
+	// selects gshare.
+	t.gp = t.gshare[t.pG] >> 1
+	t.bp = t.bimodal[t.pB] >> 1
+	t.pred = t.bp^(t.gp^t.bp)&(t.chooser[t.pC]>>1) == 1
 	return t.pred
 }
 
@@ -104,32 +102,13 @@ func (t *McFarling) Update(b trace.Branch) {
 	if t.meter != nil {
 		t.meter.Record(int(t.pG), b.PC, taken, t.ghr == t.gMask)
 	}
-	c := t.gshare[t.pG]
-	if taken {
-		if c < 3 {
-			t.gshare[t.pG] = c + 1
-		}
-	} else if c > 0 {
-		t.gshare[t.pG] = c - 1
-	}
-	c = t.bimodal[t.pB]
-	if taken {
-		if c < 3 {
-			t.bimodal[t.pB] = c + 1
-		}
-	} else if c > 0 {
-		t.bimodal[t.pB] = c - 1
-	}
-	if t.gp != t.bp {
-		c = t.chooser[t.pC]
-		if t.gp == taken {
-			if c < 3 {
-				t.chooser[t.pC] = c + 1
-			}
-		} else if c > 0 {
-			t.chooser[t.pC] = c - 1
-		}
-	}
+	up := b2u8(taken)
+	t.gshare[t.pG] = satStep(t.gshare[t.pG], up, 3)
+	t.bimodal[t.pB] = satStep(t.bimodal[t.pB], up, 3)
+	// The chooser moves toward gshare when gshare was right; where
+	// the components agree, the step is masked to a no-op.
+	c := t.chooser[t.pC]
+	t.chooser[t.pC] = c + (satStep(c, t.gp^up^1, 3)-c)&-(t.gp^t.bp)
 	t.ghr = (t.ghr<<1 | b2taken(taken)) & t.gMask
 }
 

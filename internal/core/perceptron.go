@@ -100,26 +100,17 @@ func (t *Perceptron) Update(b trace.Branch) {
 		mag = -mag
 	}
 	if t.pred != taken || mag <= t.threshold {
-		base := t.pBase
-		w := t.weights[base]
-		if taken {
-			if w < t.wmax {
-				t.weights[base] = w + 1
-			}
-		} else if w > t.wmin {
-			t.weights[base] = w - 1
-		}
-		h := t.ghr
-		for k := 0; k < t.histLen; k++ {
-			w := t.weights[base+1+k]
-			if (h&1 != 0) == taken {
-				if w < t.wmax {
-					t.weights[base+1+k] = w + 1
-				}
-			} else if w > t.wmin {
-				t.weights[base+1+k] = w - 1
-			}
-			h >>= 1
+		// Each weight steps toward agreement between its input and the
+		// outcome, and the clamp saturates it. Weights never leave
+		// [wmin, wmax], so clamping w±1 is exactly the saturating step,
+		// without a branch per input.
+		tk := b2taken(taken)
+		x := t.ghr<<1 | 1 // the inputs, bias first: a constant taken input
+		ws := t.weights[t.pBase : t.pBase+1+t.histLen]
+		for k, w := range ws {
+			d := 1 - 2*int32((x^tk)&1) // +1 on agreement, -1 otherwise
+			ws[k] = min(max(w+d, t.wmin), t.wmax)
+			x >>= 1
 		}
 	}
 	t.ghr = (t.ghr<<1 | b2taken(taken)) & t.histMask

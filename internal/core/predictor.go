@@ -133,3 +133,17 @@ func checkBits(name string, v, max int) {
 		panic(fmt.Sprintf("core: %s=%d out of [0,%d]", name, v, max))
 	}
 }
+
+// satStep is the branch-free saturating counter step: up (0 or 1)
+// moves c toward top when set and toward 0 when clear.
+func satStep(c, up, top uint8) uint8 {
+	return c + up&b2u8(c < top) - (1-up)&b2u8(c > 0)
+}
+
+// b2u8 converts a bool to 0 or 1.
+func b2u8(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -32,10 +32,10 @@ func FuzzDiffTAGE(f *testing.F) {
 		cfg := core.Config{Scheme: core.SchemeTAGE,
 			RowBits: g.rowBits % 8, ColBits: g.colBits, Metered: g.metered,
 			TAGE: core.TAGEParams{
-				Tables:  int(h>>40%8) + 1, // 1..8
+				Tables:  int(h>>40%16) + 1, // 1..16
 				MinHist: minHist,
 				MaxHist: maxHist,
-				TagBits: int(h>>48%12) + 1, // 1..12
+				TagBits: int(h>>48%16) + 1, // 1..16
 				UPeriod: uperiod,
 			}}
 		fuzzCompare(t, cfg, seed, g)

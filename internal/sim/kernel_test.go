@@ -211,6 +211,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 // TestZeroAllocPerBranch proves both paths allocate nothing per
 // branch: total allocations for a whole run are a small constant
 // (kernel closures, worker bookkeeping), independent of trace length.
+// The modern families run metered, TAGE at its widest per-table
+// state (16 tables, 16-bit tags): kernelpure checks only loop bodies,
+// and their whole per-branch steps live in loop-free Access methods.
 func TestZeroAllocPerBranch(t *testing.T) {
 	tr := kernelTrace(3, 16384)
 	opt := Options{Warmup: 100}
@@ -220,6 +223,11 @@ func TestZeroAllocPerBranch(t *testing.T) {
 		"address": func() core.Predictor { return core.NewAddressIndexed(10) },
 		"gshare":  func() core.Predictor { return core.NewGShare(9, 2).EnableMeter() },
 		"pas":     func() core.Predictor { return core.NewPAs(3, history.NewPerfect(7)) },
+		"tage": func() core.Predictor {
+			return core.NewTAGE(5, 6, core.TAGEParams{Tables: 16, MaxHist: 64, TagBits: 16}, true)
+		},
+		"perceptron": func() core.Predictor { return core.NewPerceptron(12, 6, core.PerceptronParams{}, true) },
+		"tournament": func() core.Predictor { return core.NewMcFarling(9, 8, 7, true) },
 	}
 	const maxFixed = 32.0
 	for name, build := range schemes {
