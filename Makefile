@@ -76,9 +76,11 @@ bench-short:
 
 # bench-sim measures the simulation engine (generic vs batched
 # kernels per scheme, one multi-config gshare sweep, and one tier-8
-# sweep per modern family) and records the results as BENCH_sim.json
+# sweep per modern family) and the trace plane under a streamed sweep
+# (upload ingest, BPT2 decode, streamed gshare sweep), and records the
+# results as BENCH_sim.json
 # so the perf trajectory is tracked across PRs.
-BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepModern
+BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepModern|BenchmarkTracePlane
 
 bench-sim:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s . \

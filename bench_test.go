@@ -17,13 +17,18 @@
 package bpred_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"bpred/internal/core"
 	"bpred/internal/experiments"
 	"bpred/internal/history"
+	"bpred/internal/service"
 	"bpred/internal/sim"
 	"bpred/internal/sweep"
 	"bpred/internal/trace"
@@ -418,4 +423,89 @@ func BenchmarkSweepModern(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTracePlane measures the layers under a streamed sweep
+// over a 1M-branch gcc trace: the upload ingest (BPT1 decode, content
+// digest, and BPT2 transcode through TraceStore.Ingest into a fresh
+// store), a drain of the stored BPT2 file in 8192-record batches, and
+// the tier-2^10 gshare sweep streamed off that file. MB/s counts
+// branches, times configurations for the sweep, as the other series
+// do.
+func BenchmarkTracePlane(b *testing.B) {
+	prof, _ := workload.ProfileByName("gcc")
+	tr := workload.Generate(prof, 1, 1<<20)
+	var bpt1 bytes.Buffer
+	w, err := trace.NewWriter(&bpt1, tr.Name, tr.Instructions, uint64(tr.Len()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, br := range tr.Branches {
+		if err := w.WriteBranch(br); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	bpt2 := filepath.Join(dir, "gcc.bpt2")
+	if err := trace.WriteFile2(bpt2, tr, 0); err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("ingest", func(b *testing.B) {
+		b.SetBytes(int64(tr.Len()))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			storeDir := filepath.Join(dir, "store")
+			store, err := service.NewTraceStore(storeDir, 1<<24, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := store.Ingest(bytes.NewReader(bpt1.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := os.RemoveAll(storeDir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(tr.Len()))
+		buf := make([]trace.Branch, 1<<13)
+		for i := 0; i < b.N; i++ {
+			fr, err := trace.OpenFile(bpt2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for len(fr.NextBatch(buf)) > 0 {
+			}
+			if err := fr.Err(); err != nil {
+				b.Fatal(err)
+			}
+			if err := fr.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, Tiers: []int{10}})
+		b.SetBytes(int64(tr.Len() * len(configs)))
+		for i := 0; i < b.N; i++ {
+			fr, err := trace.OpenFile(bpt2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.RunConfigsStream(context.Background(), configs, fr, sim.Options{Warmup: 1000}); err != nil {
+				b.Fatal(err)
+			}
+			if err := fr.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

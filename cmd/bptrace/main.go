@@ -104,9 +104,10 @@ func cmdDescribe(args []string) {
 }
 
 // cmdConvert transcodes a trace between the row-oriented BPT1 format
-// and the columnar block-compressed BPT2 format, streaming one block
-// at a time — it never holds the decoded trace, so converting a
-// multi-gigabyte file costs a few kilobytes of memory. The content
+// and the columnar block-compressed BPT2 format, streaming one batch
+// of records at a time — it never holds the decoded trace, so
+// converting a multi-gigabyte file costs a few hundred kilobytes of
+// memory. The content
 // digest is format-independent and printed for verification.
 func cmdConvert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
@@ -164,8 +165,8 @@ func cmdConvert(args []string) {
 			break
 		}
 		n += uint64(len(batch))
+		dw.WriteBatch(batch)
 		for _, b := range batch {
-			dw.WriteBranch(b)
 			if err := w.WriteBranch(b); err != nil {
 				fail(err)
 			}

@@ -272,7 +272,7 @@ type RemoteTraces struct {
 }
 
 // Trace implements TraceProvider. ctx cancels the download and the
-// block-by-block decode mid-replication.
+// decode mid-replication.
 func (p *RemoteTraces) Trace(ctx context.Context, digest string) (*trace.Trace, error) {
 	p.mu.Lock()
 	if t, ok := p.cache[digest]; ok {
@@ -300,26 +300,10 @@ func (p *RemoteTraces) Trace(ctx context.Context, digest string) (*trace.Trace, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: fetching trace %s: %s", digest, resp.Status)
 	}
-	// The versioned reader sniffs the magic, so replication works for
-	// both wire formats; batch decoding keeps the per-record interface
-	// overhead off the transfer path.
-	rd, err := trace.NewReader(resp.Body)
+	// trace.Read sniffs the magic, so replication works for both wire
+	// formats, and caps what a lying header can make it preallocate.
+	tr, err := trace.Read(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: decoding trace %s: %w", digest, err)
-	}
-	tr := &trace.Trace{Name: rd.Name(), Instructions: rd.Instructions()}
-	if n := rd.Count(); n > 0 {
-		tr.Branches = make([]trace.Branch, 0, n)
-	}
-	buf := make([]trace.Branch, 4096)
-	for {
-		batch := rd.NextBatch(buf)
-		if len(batch) == 0 {
-			break
-		}
-		tr.Branches = append(tr.Branches, batch...)
-	}
-	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: decoding trace %s: %w", digest, err)
 	}
 	got := tr.Digest()

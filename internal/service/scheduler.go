@@ -21,7 +21,8 @@ type Scheduler interface {
 // bpserved's single-node mode and the default when Config.Scheduler
 // is nil. Decoded handles take the in-memory fast path; streaming
 // handles (traces past the store's stream cutoff) drive the same
-// kernels from one BPT2 block at a time, with bit-identical metrics.
+// kernels from one window of BPT2 blocks at a time, with bit-identical
+// metrics.
 type LocalScheduler struct{}
 
 // RunCells implements Scheduler.

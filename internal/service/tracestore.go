@@ -279,7 +279,7 @@ func (s *TraceStore) Ingest(r io.Reader) (TraceInfo, error) {
 }
 
 // IngestAs streams one trace upload (BPT1 or BPT2) for a tenant:
-// the stream is decoded block by block into a content digest and a
+// the stream is decoded a batch at a time into a content digest and a
 // canonical BPT2 transcode on a temp file, then renamed to
 // <digest>.bpt2 — the decoded trace is never resident. Uploading
 // content the store already holds is idempotent (the tenant is added
@@ -336,11 +336,9 @@ func (s *TraceStore) IngestAs(ctx context.Context, r io.Reader, tenant string, q
 		if n > s.maxBranches {
 			return TraceInfo{}, fmt.Errorf("%w: stream exceeds %d records", ErrTraceTooLarge, s.maxBranches)
 		}
-		for _, b := range batch {
-			dw.WriteBranch(b)
-			if err := w2.WriteBranch(b); err != nil {
-				return TraceInfo{}, err
-			}
+		dw.WriteBatch(batch)
+		if err := w2.WriteBatch(batch); err != nil {
+			return TraceInfo{}, err
 		}
 	}
 	if err := rd.Err(); err != nil {

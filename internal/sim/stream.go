@@ -12,8 +12,8 @@ import (
 // RunConfigsStream builds and evaluates every configuration over a
 // streaming branch source in a single pass, without requiring the
 // trace to be memory-resident: each NextBatch window (for a BPT2
-// reader, one decoded block) is fed to every runner before the next
-// is decoded, so peak residency is one chunk regardless of trace
+// reader, a run of decoded blocks) is fed to every runner before the
+// next is decoded, so peak residency is one chunk regardless of trace
 // length. Metrics are bit-identical to RunConfigsCtx over the decoded
 // trace — chunking does not affect results (the metamorphic suite
 // pins this), and the per-config runners here are the same ones the

@@ -13,10 +13,11 @@ import (
 )
 
 // TestStreamEquivalence is the correctness contract of the streaming
-// executor: driving a sweep from a BPT2 file (one block resident at a
-// time) or a BPT1 byte stream yields metrics bit-identical to the
-// in-memory path, across warmup and chunk geometry, for every axis
-// shape including metered and unfusable configs.
+// executor: driving a sweep from a BPT2 file (one window of blocks
+// resident at a time) or a BPT1 byte stream yields metrics
+// bit-identical to the in-memory path, across warmup and chunk
+// geometry, for every axis shape including metered and unfusable
+// configs.
 func TestStreamEquivalence(t *testing.T) {
 	tr := kernelTrace(21, 20_011)
 	dir := t.TempDir()

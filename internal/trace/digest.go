@@ -17,40 +17,14 @@ import (
 // stream, so it is insensitive to on-disk encoding details and equally
 // applicable to generated traces that never touch a file.
 func (t *Trace) Digest() [sha256.Size]byte {
-	h := sha256.New()
-	var hdr [8]byte
-	h.Write([]byte("bpred-trace-digest-v1\x00"))
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(t.Name)))
-	h.Write(hdr[:])
-	h.Write([]byte(t.Name))
-	binary.LittleEndian.PutUint64(hdr[:], t.Instructions)
-	h.Write(hdr[:])
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(t.Branches)))
-	h.Write(hdr[:])
-
-	// Records are hashed in fixed-width little-endian blocks; buffering
-	// amortizes the hasher's call overhead over ~3800 records at a time.
-	const recSize = 8 + 8 + 1
-	buf := make([]byte, 0, recSize*3855)
-	for i := range t.Branches {
-		b := &t.Branches[i]
-		var rec [recSize]byte
-		binary.LittleEndian.PutUint64(rec[0:], b.PC)
-		binary.LittleEndian.PutUint64(rec[8:], b.Target)
-		if b.Taken {
-			rec[16] = 1
-		}
-		buf = append(buf, rec[:]...)
-		if len(buf)+recSize > cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	h.Write(buf)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	d := NewDigestWriter(t.Name, t.Instructions, uint64(len(t.Branches)))
+	d.WriteBatch(t.Branches)
+	return d.Sum()
 }
+
+// digestRecord is a record's fixed-width form in the digest: PC and
+// Target little-endian, then one outcome byte.
+const digestRecord = 8 + 8 + 1
 
 // DigestWriter computes the same content digest as Trace.Digest
 // incrementally, so a streaming consumer (the service's upload path)
@@ -75,23 +49,37 @@ func NewDigestWriter(name string, instructions, count uint64) *DigestWriter {
 	h.Write(hdr[:])
 	binary.LittleEndian.PutUint64(hdr[:], count)
 	h.Write(hdr[:])
-	const recSize = 8 + 8 + 1
-	return &DigestWriter{h: h, buf: make([]byte, 0, recSize*3855)}
+	// Buffering amortizes the hasher's call overhead over ~3800
+	// records at a time.
+	return &DigestWriter{h: h, buf: make([]byte, 0, digestRecord*3855)}
 }
 
-// WriteBranch folds one record into the digest.
-func (d *DigestWriter) WriteBranch(b Branch) {
-	const recSize = 8 + 8 + 1
-	var rec [recSize]byte
-	binary.LittleEndian.PutUint64(rec[0:], b.PC)
-	binary.LittleEndian.PutUint64(rec[8:], b.Target)
-	if b.Taken {
-		rec[16] = 1
-	}
-	d.buf = append(d.buf, rec[:]...)
-	if len(d.buf)+recSize > cap(d.buf) {
-		d.h.Write(d.buf)
-		d.buf = d.buf[:0]
+// WriteBatch folds records into the digest, encoding each one
+// straight into the hash buffer.
+func (d *DigestWriter) WriteBatch(bs []Branch) {
+	for len(bs) > 0 {
+		room := (cap(d.buf) - len(d.buf)) / digestRecord
+		if room == 0 {
+			d.h.Write(d.buf)
+			d.buf = d.buf[:0]
+			continue
+		}
+		k := min(room, len(bs))
+		off := len(d.buf)
+		d.buf = d.buf[:off+k*digestRecord]
+		rec := d.buf[off:]
+		for i := range bs[:k] {
+			b := &bs[i]
+			binary.LittleEndian.PutUint64(rec[0:8], b.PC)
+			binary.LittleEndian.PutUint64(rec[8:16], b.Target)
+			var taken byte
+			if b.Taken {
+				taken = 1
+			}
+			rec[16] = taken
+			rec = rec[digestRecord:]
+		}
+		bs = bs[k:]
 	}
 }
 

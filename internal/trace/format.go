@@ -173,11 +173,49 @@ func (r *reader1) Count() uint64 { return r.count }
 // Version reports the on-disk format version, 1.
 func (r *reader1) Version() int { return 1 }
 
-// NextBatch fills buf by repeated decode; BPT1 is row-oriented so
-// there is no block to window into.
+// maxRecord1 is the largest BPT1 record: the flags byte and two
+// ten-byte varints.
+const maxRecord1 = 1 + 2*binary.MaxVarintLen64
+
+// NextBatch fills buf, decoding records straight out of the bufio
+// buffer. Two cases go through Next instead: a record that starts in
+// the last maxRecord1 buffered bytes (Next refills the buffer under
+// it) and a record that does not decode cleanly (so its error reads
+// exactly as a record-at-a-time decode reports it).
 func (r *reader1) NextBatch(buf []Branch) []Branch {
 	n := 0
-	for n < len(buf) {
+	for n < len(buf) && r.err == nil && r.read < r.count {
+		out := buf[n:]
+		if left := r.count - r.read; left < uint64(len(out)) {
+			out = out[:left]
+		}
+		win, _ := r.r.Peek(r.r.Buffered())
+		i, k := 0, 0
+		pc := r.prevPC
+		for ; k < len(out) && len(win)-i >= maxRecord1; k++ {
+			dPC, w1 := varint12(win, i+1)
+			if w1 == 0 {
+				if dPC, w1 = binary.Varint(win[i+1:]); w1 <= 0 {
+					break
+				}
+			}
+			dTgt, w2 := varint12(win, i+1+w1)
+			if w2 == 0 {
+				if dTgt, w2 = binary.Varint(win[i+1+w1:]); w2 <= 0 {
+					break
+				}
+			}
+			pc += uint64(dPC)
+			out[k] = Branch{PC: pc, Target: pc + uint64(dTgt), Taken: win[i]&1 != 0}
+			i += 1 + w1 + w2
+		}
+		r.r.Discard(i) // within the buffered bytes, so it cannot fail
+		r.prevPC = pc
+		r.read += uint64(k)
+		n += k
+		if k == len(out) {
+			continue
+		}
 		b, ok := r.Next()
 		if !ok {
 			break
@@ -186,6 +224,24 @@ func (r *reader1) NextBatch(buf []Branch) []Branch {
 		n++
 	}
 	return buf[:n]
+}
+
+// varint12 decodes a one- or two-byte zigzag varint at buf[i:], the
+// bulk of PC deltas and target offsets, without branching on which
+// of the two it is. It returns the value and its width, or width 0
+// when the value is longer or buf ends inside the next two bytes; the
+// caller then falls back to binary.Varint.
+func varint12(buf []byte, i int) (int64, int) {
+	if i+1 >= len(buf) {
+		return 0, 0
+	}
+	b0, b1 := buf[i], buf[i+1]
+	if b0 >= 0x80 && b1 >= 0x80 {
+		return 0, 0
+	}
+	two := uint64(b0 >> 7)
+	u := uint64(b0&0x7f) | uint64(b1)<<7&-two
+	return int64(u>>1) ^ -int64(u&1), 1 + int(two)
 }
 
 // Next returns the next record. After exhaustion or an error it
@@ -248,31 +304,40 @@ func ReadFile(path string) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	r, err := NewReader(f)
+	t, err := Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, path)
+	}
+	return t, nil
+}
+
+// Read decodes a whole trace, in either format, from r. The header's
+// record count only sizes the first allocation up to preallocRecords,
+// so a header that lies about its length costs at most that much
+// before the stream runs dry and Read reports the truncation.
+func Read(r io.Reader) (*Trace, error) {
+	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	pre := r.Count()
-	if pre > preallocRecords {
-		pre = preallocRecords
-	}
 	t := &Trace{
-		Name:         r.Name(),
-		Instructions: r.Instructions(),
-		Branches:     make([]Branch, 0, pre),
+		Name:         rd.Name(),
+		Instructions: rd.Instructions(),
+		Branches:     make([]Branch, 0, min(rd.Count(), preallocRecords)),
 	}
+	buf := make([]Branch, 1<<13)
 	for {
-		b, ok := r.Next()
-		if !ok {
+		batch := rd.NextBatch(buf)
+		if len(batch) == 0 {
 			break
 		}
-		t.Branches = append(t.Branches, b)
+		t.Branches = append(t.Branches, batch...)
 	}
-	if r.Err() != nil {
-		return nil, r.Err()
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
-	if uint64(t.Len()) != r.Count() {
-		return nil, fmt.Errorf("trace: %s truncated: %d of %d records", path, t.Len(), r.Count())
+	if uint64(t.Len()) != rd.Count() {
+		return nil, fmt.Errorf("trace: truncated: %d of %d records", t.Len(), rd.Count())
 	}
 	return t, nil
 }

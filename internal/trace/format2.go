@@ -10,8 +10,8 @@ import (
 )
 
 // The on-disk trace format, version 2 — columnar and block-oriented,
-// so a reader decodes one small block at a time straight from the
-// file instead of materializing the whole trace:
+// so a reader decodes a window of small, independent blocks straight
+// from the file instead of materializing the whole trace:
 //
 //	magic    [4]byte  "BPT2"
 //	nameLen  uvarint  followed by nameLen bytes of UTF-8 name
@@ -57,9 +57,9 @@ const (
 	// (~21 B/record) both stay near a megabyte even under a hostile
 	// header, so nothing allocates unboundedly.
 	maxBlockLen = 1 << 16
-	// DefaultBlockLen is the writer's default records-per-block. 1024
-	// records decode to a 24 KB window — resident in L1d next to the
-	// predictor tables.
+	// DefaultBlockLen is the writer's default records-per-block. The
+	// simulator's default 8192-record chunk holds 8 such blocks, which
+	// NextBatch decodes in one call.
 	DefaultBlockLen = 1024
 )
 
@@ -142,25 +142,41 @@ func NewWriter2(w io.Writer, name string, instructions, count uint64, blockLen i
 // records have accumulated. It returns an error if more records are
 // written than the header promised.
 func (w *Writer2) WriteBranch(b Branch) error {
-	if w.wrote >= w.count {
-		return fmt.Errorf("trace: record %d exceeds promised count %d", w.wrote+1, w.count)
+	return w.WriteBatch([]Branch{b})
+}
+
+// WriteBatch appends records, encoding each block's run of them in
+// one loop and flushing every block that fills. It writes nothing and
+// returns an error if the records would overrun the promised count.
+func (w *Writer2) WriteBatch(bs []Branch) error {
+	if uint64(len(bs)) > w.count-w.wrote {
+		return fmt.Errorf("trace: record %d exceeds promised count %d", w.count+1, w.count)
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], int64(b.PC-w.prevPC))
-	w.pcCol = append(w.pcCol, buf[:n]...)
-	n = binary.PutVarint(buf[:], int64(b.Target-b.PC))
-	w.tgtCol = append(w.tgtCol, buf[:n]...)
-	if w.recs%8 == 0 {
-		w.takenCol = append(w.takenCol, 0)
-	}
-	if b.Taken {
-		w.takenCol[w.recs/8] |= 1 << (w.recs % 8)
-	}
-	w.prevPC = b.PC
-	w.recs++
-	w.wrote++
-	if w.recs == w.blockLen {
-		return w.flushBlock()
+	for len(bs) > 0 {
+		run := bs[:min(len(bs), w.blockLen-w.recs)]
+		bs = bs[len(run):]
+		pcCol, tgtCol, takenCol := w.pcCol, w.tgtCol, w.takenCol
+		prev, i := w.prevPC, w.recs
+		for _, b := range run {
+			pcCol = binary.AppendVarint(pcCol, int64(b.PC-prev))
+			tgtCol = binary.AppendVarint(tgtCol, int64(b.Target-b.PC))
+			if i%8 == 0 {
+				takenCol = append(takenCol, 0)
+			}
+			if b.Taken {
+				takenCol[i/8] |= 1 << (i % 8)
+			}
+			prev = b.PC
+			i++
+		}
+		w.pcCol, w.tgtCol, w.takenCol = pcCol, tgtCol, takenCol
+		w.prevPC, w.recs = prev, i
+		w.wrote += uint64(len(run))
+		if w.recs == w.blockLen {
+			if err := w.flushBlock(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -235,9 +251,13 @@ func (w *Writer2) Close() error {
 	return w.w.Flush()
 }
 
-// reader2 streams a BPT2 trace one block at a time. It implements
-// Reader; NextBatch returns zero-copy windows into the single decoded
-// block, so at most blockLen records are ever resident.
+// reader2 streams a BPT2 trace. It implements Reader. Every block
+// goes through the same two steps, readBlock then decodeBlock, in
+// stream order, into whatever buffer the caller gives: NextBatch
+// decodes a window of whole blocks straight into the caller's buffer,
+// and Next and buffers shorter than a block decode one block into
+// r.block. Beyond the caller's buffer, at most blockLen records are
+// ever resident.
 type reader2 struct {
 	br           *bufio.Reader
 	name         string
@@ -249,7 +269,7 @@ type reader2 struct {
 	chained      bool   // prevPC is authoritative (sequential reads)
 	err          error
 
-	block   []Branch // decoded current block
+	block   []Branch // decoded block behind Next and short buffers
 	pos     int      // cursor within block
 	payload []byte   // raw column scratch, reused across blocks
 
@@ -326,109 +346,149 @@ func (r *reader2) rewind(br *bufio.Reader, first uint64) {
 	r.chained = false
 }
 
-// nextBlock decodes the next block into r.block. It returns false at
-// end of trace or on error (recorded in r.err).
-func (r *reader2) nextBlock() bool {
-	if r.err != nil || r.read >= r.count {
-		return false
+// blockHeader is a block's header, as readBlock parsed it.
+type blockHeader struct {
+	recs, startPC, pcLen, tgtLen uint64
+	crc                          uint32
+}
+
+// readBlock is the first of the two steps every block goes through:
+// it parses the header of the block whose first record is record at,
+// runs every bound check, and reads the encoded columns into
+// r.payload. It returns false at end of trace or on error (recorded
+// in r.err).
+func (r *reader2) readBlock(at uint64) (blockHeader, bool) {
+	var h blockHeader
+	if r.err != nil || at >= r.count {
+		return h, false
 	}
-	recs, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		r.err = fmt.Errorf("trace: reading block header at record %d: %w", r.read, err)
-		return false
+	var err error
+	if h.recs, err = binary.ReadUvarint(r.br); err != nil {
+		r.err = fmt.Errorf("trace: reading block header at record %d: %w", at, err)
+		return h, false
 	}
-	if recs < 1 || recs > r.blockLen {
-		r.err = fmt.Errorf("trace: block record count %d out of range [1,%d]", recs, r.blockLen)
-		return false
+	if h.recs < 1 || h.recs > r.blockLen {
+		r.err = fmt.Errorf("trace: block record count %d out of range [1,%d]", h.recs, r.blockLen)
+		return h, false
 	}
-	if r.read+recs > r.count {
-		r.err = fmt.Errorf("trace: block of %d records overruns promised count %d at record %d", recs, r.count, r.read)
-		return false
+	if at+h.recs > r.count {
+		r.err = fmt.Errorf("trace: block of %d records overruns promised count %d at record %d", h.recs, r.count, at)
+		return h, false
 	}
-	startPC, err := binary.ReadUvarint(r.br)
-	if err != nil {
+	if h.startPC, err = binary.ReadUvarint(r.br); err != nil {
 		r.err = fmt.Errorf("trace: reading block base pc: %w", err)
-		return false
+		return h, false
 	}
-	if r.chained && startPC != r.prevPC {
-		r.err = fmt.Errorf("trace: block base pc %#x breaks delta chain (want %#x) at record %d", startPC, r.prevPC, r.read)
-		return false
+	if r.chained && h.startPC != r.prevPC {
+		r.err = fmt.Errorf("trace: block base pc %#x breaks delta chain (want %#x) at record %d", h.startPC, r.prevPC, at)
+		return h, false
 	}
-	pcLen, err := binary.ReadUvarint(r.br)
-	if err != nil {
+	if h.pcLen, err = binary.ReadUvarint(r.br); err != nil {
 		r.err = fmt.Errorf("trace: reading pc column length: %w", err)
-		return false
+		return h, false
 	}
-	tgtLen, err := binary.ReadUvarint(r.br)
-	if err != nil {
+	if h.tgtLen, err = binary.ReadUvarint(r.br); err != nil {
 		r.err = fmt.Errorf("trace: reading target column length: %w", err)
-		return false
+		return h, false
 	}
 	// A varint is at most 10 bytes, so any honest column is bounded by
 	// 10*recs; larger claims are lies and must not drive allocation.
-	if pcLen > uint64(binary.MaxVarintLen64)*recs || tgtLen > uint64(binary.MaxVarintLen64)*recs {
-		r.err = fmt.Errorf("trace: column lengths %d/%d unreasonable for %d records", pcLen, tgtLen, recs)
-		return false
+	if h.pcLen > uint64(binary.MaxVarintLen64)*h.recs || h.tgtLen > uint64(binary.MaxVarintLen64)*h.recs {
+		r.err = fmt.Errorf("trace: column lengths %d/%d unreasonable for %d records", h.pcLen, h.tgtLen, h.recs)
+		return h, false
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
 		r.err = fmt.Errorf("trace: reading block checksum: %w", err)
-		return false
+		return h, false
 	}
-	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	takenLen := (recs + 7) / 8
-	total := pcLen + tgtLen + takenLen
+	h.crc = binary.LittleEndian.Uint32(crcBuf[:])
+	total := h.pcLen + h.tgtLen + (h.recs+7)/8
 	if uint64(cap(r.payload)) < total {
 		r.payload = make([]byte, total)
 	}
 	r.payload = r.payload[:total]
 	if _, err := io.ReadFull(r.br, r.payload); err != nil {
-		r.err = fmt.Errorf("trace: reading block columns at record %d: %w", r.read, err)
-		return false
+		r.err = fmt.Errorf("trace: reading block columns at record %d: %w", at, err)
+		return h, false
 	}
-	if got := crc32.ChecksumIEEE(r.payload); got != wantCRC {
-		r.err = fmt.Errorf("trace: block checksum mismatch at record %d: got %08x want %08x", r.read, got, wantCRC)
-		return false
-	}
-	pcCol := r.payload[:pcLen]
-	tgtCol := r.payload[pcLen : pcLen+tgtLen]
-	takenCol := r.payload[pcLen+tgtLen:]
+	return h, true
+}
 
-	if uint64(cap(r.block)) < recs {
-		r.block = make([]Branch, recs)
+// decodeBlock is the second step: it checks the CRC of the block
+// readBlock just read and decodes its columns into dst[:h.recs],
+// extending the delta chain. It returns false on error (recorded in
+// r.err).
+func (r *reader2) decodeBlock(h blockHeader, at uint64, dst []Branch) bool {
+	if got := crc32.ChecksumIEEE(r.payload); got != h.crc {
+		r.err = fmt.Errorf("trace: block checksum mismatch at record %d: got %08x want %08x", at, got, h.crc)
+		return false
 	}
-	r.block = r.block[:recs]
-	pc := startPC
+	pcCol := r.payload[:h.pcLen]
+	tgtCol := r.payload[h.pcLen : h.pcLen+h.tgtLen]
+	takenCol := r.payload[h.pcLen+h.tgtLen:]
+	pc := h.startPC
 	pi, ti := 0, 0
-	for i := uint64(0); i < recs; i++ {
-		dPC, n := binary.Varint(pcCol[pi:])
-		if n <= 0 {
-			r.err = fmt.Errorf("trace: corrupt pc column at record %d", r.read+i)
-			return false
+	for i := range dst[:h.recs] {
+		dPC, n := varint12(pcCol, pi)
+		if n == 0 {
+			if dPC, n = binary.Varint(pcCol[pi:]); n <= 0 {
+				r.err = fmt.Errorf("trace: corrupt pc column at record %d", at+uint64(i))
+				return false
+			}
 		}
 		pi += n
-		dTgt, n := binary.Varint(tgtCol[ti:])
-		if n <= 0 {
-			r.err = fmt.Errorf("trace: corrupt target column at record %d", r.read+i)
-			return false
+		dTgt, n := varint12(tgtCol, ti)
+		if n == 0 {
+			if dTgt, n = binary.Varint(tgtCol[ti:]); n <= 0 {
+				r.err = fmt.Errorf("trace: corrupt target column at record %d", at+uint64(i))
+				return false
+			}
 		}
 		ti += n
 		pc += uint64(dPC)
-		r.block[i] = Branch{
-			PC:     pc,
-			Target: pc + uint64(dTgt),
-			Taken:  takenCol[i/8]&(1<<(i%8)) != 0,
-		}
+		dst[i] = Branch{PC: pc, Target: pc + uint64(dTgt), Taken: takenCol[uint(i)/8]&(1<<(uint(i)%8)) != 0}
 	}
 	if pi != len(pcCol) || ti != len(tgtCol) {
 		r.err = fmt.Errorf("trace: block columns have %d/%d trailing bytes at record %d",
-			len(pcCol)-pi, len(tgtCol)-ti, r.read)
+			len(pcCol)-pi, len(tgtCol)-ti, at)
 		return false
 	}
 	r.prevPC = pc
 	r.chained = true
-	r.pos = 0
 	return true
+}
+
+// nextBlocks decodes the next block into buf, which must hold it
+// (blockLen records, or every record left if fewer), then more blocks
+// while another surely fits, and returns how many records it decoded.
+// Next gives it one block's room; a NextBatch buffer holding several
+// blocks gets a window of them.
+func (r *reader2) nextBlocks(buf []Branch) int {
+	n := 0
+	for {
+		at := r.read + uint64(n)
+		h, ok := r.readBlock(at)
+		if !ok || !r.decodeBlock(h, at, buf[n:]) {
+			return n
+		}
+		n += int(h.recs)
+		if uint64(len(buf)-n) < r.blockLen {
+			return n
+		}
+	}
+}
+
+// nextBlock decodes the next block into r.block. It returns false at
+// end of trace or on error (recorded in r.err).
+func (r *reader2) nextBlock() bool {
+	need := min(r.blockLen, r.count-r.read)
+	if uint64(cap(r.block)) < need {
+		r.block = make([]Branch, need)
+	}
+	r.block = r.block[:r.nextBlocks(r.block[:need])]
+	r.pos = 0
+	return len(r.block) > 0
 }
 
 // Next returns the next record. After exhaustion or an error it
@@ -445,22 +505,28 @@ func (r *reader2) Next() (Branch, bool) {
 	return b, true
 }
 
-// NextBatch returns a zero-copy window into the current decoded
-// block, at most len(buf) records long (buf itself is untouched).
-// The window is valid until the following NextBatch call.
+// NextBatch returns the next records. Once Next's current block is
+// used up, a buf that holds at least one block receives a window of
+// whole blocks, decoded straight into it: the simulator's default
+// 8192-record chunk takes 8 default blocks per call. A shorter buf
+// gets a zero-copy window into one decoded block, at most len(buf)
+// records long, with buf itself untouched. Either result is valid
+// until the following NextBatch call.
 func (r *reader2) NextBatch(buf []Branch) []Branch {
 	if len(buf) == 0 {
 		return nil
+	}
+	if r.pos >= len(r.block) && uint64(len(buf)) >= r.blockLen {
+		n := r.nextBlocks(buf)
+		r.read += uint64(n)
+		return buf[:n]
 	}
 	if r.pos >= len(r.block) {
 		if !r.nextBlock() {
 			return nil
 		}
 	}
-	n := len(r.block) - r.pos
-	if n > len(buf) {
-		n = len(buf)
-	}
+	n := min(len(r.block)-r.pos, len(buf))
 	out := r.block[r.pos : r.pos+n]
 	r.pos += n
 	r.read += uint64(n)
@@ -576,10 +642,8 @@ func WriteFile2(path string, t *Trace, blockLen int) (err error) {
 	if err != nil {
 		return err
 	}
-	for _, b := range t.Branches {
-		if err := w.WriteBranch(b); err != nil {
-			return err
-		}
+	if err := w.WriteBatch(t.Branches); err != nil {
+		return err
 	}
 	return w.Close()
 }

@@ -30,7 +30,7 @@ func synthBranches(n int, seed uint64) []Branch {
 	return out
 }
 
-func encode2(t *testing.T, tr *Trace, blockLen int) []byte {
+func encode2(t testing.TB, tr *Trace, blockLen int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter2(&buf, tr.Name, tr.Instructions, uint64(tr.Len()), blockLen)
@@ -336,9 +336,13 @@ func TestReadFileSniffsBPT2(t *testing.T) {
 
 func TestDigestWriterMatchesTraceDigest(t *testing.T) {
 	tr := &Trace{Name: "digest", Instructions: 777, Branches: synthBranches(5000, 11)}
+	// Batches of 1 to 97 records make the writer's hash-buffer flushes
+	// fall inside a batch.
 	d := NewDigestWriter(tr.Name, tr.Instructions, uint64(tr.Len()))
-	for _, b := range tr.Branches {
-		d.WriteBranch(b)
+	for bs, k := tr.Branches, 1; len(bs) > 0; k = k%97 + 1 {
+		n := min(k, len(bs))
+		d.WriteBatch(bs[:n])
+		bs = bs[n:]
 	}
 	if d.Sum() != tr.Digest() {
 		t.Fatal("streaming digest diverges from Trace.Digest")

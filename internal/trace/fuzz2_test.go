@@ -2,71 +2,76 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzReader2 checks the BPT2 block decoder never panics or loops on
-// arbitrary input. Seeds cover a valid multi-block stream, transcoded
-// traces from the checked-in refmodel corpus, header fragments, and
-// truncations landing inside a block.
+// arbitrary input, and that NextBatch at a fuzz-chosen buffer length
+// — shorter than a block, or a window of several — yields exactly the
+// records and the error that Next does. Seeds cover valid multi-block
+// streams at block lengths 1, 3, 64 and the default, header
+// fragments, truncations landing inside a block, and corruptions whose
+// errors a window must report in stream order.
 func FuzzReader2(f *testing.F) {
-	tr := &Trace{Name: "seed2", Instructions: 42, Branches: synthBranches(300, 17)}
-	var buf bytes.Buffer
-	w, err := NewWriter2(&buf, tr.Name, tr.Instructions, uint64(tr.Len()), 64)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, b := range tr.Branches {
-		if err := w.WriteBranch(b); err != nil {
-			f.Fatal(err)
+	synth := synthBranches(300, 17)
+	valid := encode2(f, &Trace{Name: "seed2", Instructions: 42, Branches: synth}, 64)
+	f.Add(valid, uint16(64))
+	f.Add(valid[:len(valid)/2], uint16(200))
+	f.Add(valid[:40], uint16(1))
+	f.Add(encode2(f, &Trace{Name: "seed2", Instructions: 42, Branches: synth[:40]}, 1), uint16(7))
+	f.Add(encode2(f, &Trace{Name: "seed2", Instructions: 42, Branches: synth[:100]}, 3), uint16(10))
+	f.Add([]byte("BPT2"), uint16(8192))
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte("BPT2\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"), uint16(2))
+	// Buffers one record short of a block, and of one, two and three
+	// blocks, put the damaged block at a window's start and inside one.
+	for _, seed := range corruptBPT2(f, valid) {
+		for _, n := range []uint16{62, 63, 127, 191} {
+			f.Add(seed, n)
 		}
 	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:40])
-	f.Add([]byte("BPT2"))
-	f.Add([]byte{})
-	f.Add([]byte("BPT2\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	if paths, err := filepath.Glob(filepath.Join("..", "refmodel", "testdata", "*.bpt")); err == nil {
 		for _, p := range paths {
 			src, err := ReadFile(p)
 			if err != nil {
 				continue
 			}
-			var tb bytes.Buffer
-			w2, err := NewWriter2(&tb, src.Name, src.Instructions, uint64(src.Len()), 0)
-			if err != nil {
-				continue
-			}
-			for _, b := range src.Branches {
-				if err := w2.WriteBranch(b); err != nil {
-					break
-				}
-			}
-			if err := w2.Close(); err == nil {
-				f.Add(tb.Bytes())
-			}
+			f.Add(encode2(f, src, 0), uint16(8191))
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// The promised count bounds iteration; add our own cap as a
-		// belt against decoder bugs.
-		for i := 0; i < 1<<20; i++ {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-		}
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		checkBatchMatchesNext(t, data, 1+int(n)%(1<<13))
 	})
+}
+
+// corruptBPT2 derives damaged copies of a valid multi-block stream
+// whose first error lies in its third block: a base PC that breaks
+// the delta chain, the same break with the stream cut inside that
+// block's header (a block-at-a-time decode reports the chain break,
+// not the short read), a column byte flipped (checksum mismatch), and
+// a cut inside the columns.
+func corruptBPT2(tb testing.TB, valid []byte) [][]byte {
+	idx, err := ReadIndex(bytes.NewReader(valid), int64(len(valid)))
+	if err != nil || len(idx.Blocks) < 4 {
+		tb.Fatalf("seed stream needs at least 4 indexed blocks: %v", err)
+	}
+	blk := idx.Blocks[2]
+	_, recsLen := binary.Uvarint(valid[blk.Offset:])
+	base := blk.Offset + int64(recsLen) // first byte of the base PC
+	_, baseLen := binary.Uvarint(valid[base:])
+	chain := bytes.Clone(valid)
+	chain[base] ^= 1
+	flip := bytes.Clone(valid)
+	flip[blk.Offset+blk.Size-1] ^= 0x40
+	return [][]byte{
+		chain,
+		chain[:base+int64(baseLen)+1],
+		flip,
+		valid[:blk.Offset+blk.Size/2],
+	}
 }
 
 // FuzzIndex2 checks the footer-index parser on arbitrary bytes: it

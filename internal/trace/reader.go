@@ -14,9 +14,9 @@ import (
 // traces without knowing which version backs them.
 //
 // A Reader is a BatchSource: NextBatch yields chunks sized for the
-// simulator's fast path. For BPT2 the chunks are zero-copy windows
-// into the reader's single decoded block (one block resident at a
-// time); for BPT1 they are filled into the caller's buffer. After
+// simulator's fast path, decoded into the caller's buffer. For BPT2 a
+// buffer of at least one block receives a window of whole blocks; a
+// shorter one gets a zero-copy slice of one decoded block. After
 // exhaustion, Err distinguishes clean EOF (nil) from a decode error.
 type Reader interface {
 	BatchSource
