@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race bench-sim bench-short bench-check cover fuzz-smoke diff-fuzz serve serve-test cluster-test e2e-smoke soak all
+.PHONY: build test vet lint race bench-sim bench-short bench-check bench-pair cover fuzz-smoke diff-fuzz serve serve-test cluster-test e2e-smoke soak all
 
 all: build vet lint test
 
@@ -75,12 +75,13 @@ bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-sim measures the simulation engine (generic vs batched
-# kernels per scheme, one multi-config gshare sweep, and one tier-8
+# kernels per scheme, one multi-config gshare sweep, the per-tier
+# gshare sweep of the Figure-4 benchmark workload, and one tier-8
 # sweep per modern family) and the trace plane under a streamed sweep
 # (upload ingest, BPT2 decode, streamed gshare sweep), and records the
 # results as BENCH_sim.json
 # so the perf trajectory is tracked across PRs.
-BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepModern|BenchmarkTracePlane
+BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepTiers|BenchmarkSweepModern|BenchmarkTracePlane
 
 bench-sim:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s . \
@@ -97,6 +98,36 @@ BENCH_TIME ?= 1s
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -check -baseline BENCH_sim.json -tolerance $(BENCH_TOL)
+
+# bench-pair measures the change, not the host. It exports BASE with
+# git archive, copies this tree's bench_test.go into the export so both
+# sides run the same benchmark code, builds both root-package test
+# binaries, and runs PAIR_N rounds of BENCH_PATTERN, alternating which
+# side runs first. benchjson -pair then prints, per series, the base
+# median and quartiles, the change median, the median change/base
+# ratio and the rounds won, and fails a series that ran slower in at
+# least 8 of 10 rounds with its median below the base's lower quartile:
+#
+#	make bench-pair BASE=HEAD~1 BENCH_PATTERN='BenchmarkKernels/gshare/'
+PAIR_N ?= 10
+PAIR_DIR = .bench_pair
+
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [PAIR_N=10] [BENCH_PATTERN=...] [BENCH_TIME=1s]"; exit 2; }
+	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
+	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
+	cp bench_test.go $(PAIR_DIR)/base/
+	cd $(PAIR_DIR)/base && $(GO) test -c -o ../base.test .
+	$(GO) test -c -o $(PAIR_DIR)/change.test .
+	@for i in $$(seq 1 $(PAIR_N)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			echo "round $$i: $$side" >&2; \
+			$(PAIR_DIR)/$$side.test -test.run '^$$' -test.bench '$(BENCH_PATTERN)' \
+				-test.benchtime $(BENCH_TIME) >> $(PAIR_DIR)/$$side.txt || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/benchjson -pair $(PAIR_DIR)/base.txt $(PAIR_DIR)/change.txt
 
 # COVER_FLOOR is ~10 points below current coverage of the execution
 # core (sim, sweep, checkpoint, obs sit at ~92%); the gate catches

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -362,10 +363,20 @@ func kernelBenchConfigs() map[string]func() core.Predictor {
 // path's headline numbers; `make bench-sim` records them as
 // BENCH_sim.json for cross-PR tracking and `make bench-check` gates
 // regressions against it.
+//
+// The series run in name order, so every run (and every paired round
+// of `make bench-pair`) meets them in the same order.
 func BenchmarkKernels(b *testing.B) {
 	prof, _ := workload.ProfileByName("espresso")
 	tr := workload.Generate(prof, 1, 500_000)
-	for name, mk := range kernelBenchConfigs() {
+	configs := kernelBenchConfigs()
+	names := make([]string, 0, len(configs))
+	for name := range configs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		mk := configs[name]
 		b.Run(name+"/generic", func(b *testing.B) {
 			b.SetBytes(int64(tr.Len()))
 			for i := 0; i < b.N; i++ {
@@ -393,6 +404,32 @@ func BenchmarkSweepChunked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunConfigs(configs, tr, sim.Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepTiers is the kernel shape of the end-to-end
+// benchmark's fig4_cold workload: a gshare sweep over tiers
+// 2^4..2^16 (143 configurations) on a 256K-branch gcc trace, one
+// sim.RunConfigsCtx call per tier with warmup 1000, as the sweep
+// service runs a job. BenchmarkSweepChunked covers the other shape:
+// one call over small tables.
+func BenchmarkSweepTiers(b *testing.B) {
+	prof, _ := workload.ProfileByName("gcc")
+	tr := workload.Generate(prof, 1, 1<<18)
+	var tiers [][]core.Config
+	n := 0
+	for bits := 4; bits <= 16; bits++ {
+		configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, Tiers: []int{bits}})
+		tiers = append(tiers, configs)
+		n += len(configs)
+	}
+	b.SetBytes(int64(tr.Len() * n))
+	for i := 0; i < b.N; i++ {
+		for _, configs := range tiers {
+			if _, err := sim.RunConfigsCtx(context.Background(), configs, tr, sim.Options{Warmup: 1000}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -20,6 +20,12 @@
 // reported as new and never fail the gate; baseline entries missing
 // from the run are warned about but tolerated, so a scoped -bench
 // filter can gate a subset.
+//
+// With -pair base.txt change.txt, benchjson compares two files of
+// repeated runs round by round instead (make bench-pair): per series
+// the base median and quartiles, the change median, the median ratio
+// and the rounds won. A series slower in at least 8 of 10 rounds with
+// its median below the base's lower quartile exits 1.
 package main
 
 import (
@@ -64,8 +70,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	check := fs.Bool("check", false, "compare stdin against -baseline instead of emitting JSON")
 	baseline := fs.String("baseline", "BENCH_sim.json", "baseline JSON document for -check")
 	tolerance := fs.Float64("tolerance", 15, "max tolerated MB/s regression for -check, in percent")
+	pair := fs.Bool("pair", false, "compare two files of repeated runs, base.txt change.txt, round by round")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *pair {
+		if fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "usage: benchjson -pair base.txt change.txt")
+			return 2
+		}
+		return runPair(fs.Arg(0), fs.Arg(1), stdout, stderr)
 	}
 
 	doc, err := parse(bufio.NewScanner(stdin))

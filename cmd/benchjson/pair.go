@@ -1,0 +1,117 @@
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"os"
+	"slices"
+	"text/tabwriter"
+)
+
+// pairStat is one series over paired rounds, in MB/s: round i of the
+// base and of the change ran back to back on one host, so their ratio
+// cancels the drift both runs shared.
+type pairStat struct {
+	name                                      string
+	rounds, wins, losses                      int
+	baseMed, baseQ1, baseQ3, changeMed, ratio float64 // ratio: median change/base
+}
+
+// failed reports a series slower in at least 8 of 10 rounds (scaled to
+// the round count) whose median is below the base's lower quartile.
+func (p pairStat) failed() bool {
+	return p.losses*10 >= 8*p.rounds && p.changeMed < p.baseQ1
+}
+
+// pairStats pairs each series of the base with the change's. Files of
+// appended runs repeat a name once per run, so round i is its i-th
+// occurrence on each side. Unequal counts pair the common prefix;
+// series one side lacks are skipped.
+func pairStats(base, change Doc) []pairStat {
+	mbps := func(doc Doc) map[string][]float64 {
+		by := map[string][]float64{}
+		for _, r := range doc.Results {
+			if v := r.Metrics[throughputUnit]; v > 0 {
+				by[r.Name] = append(by[r.Name], v)
+			}
+		}
+		return by
+	}
+	b, c := mbps(base), mbps(change)
+	var stats []pairStat
+	for _, r := range base.Results {
+		n := min(len(b[r.Name]), len(c[r.Name]))
+		bs, cs := b[r.Name][:n], c[r.Name][:n]
+		delete(b, r.Name) // the series' later rounds
+		if n == 0 {
+			continue
+		}
+		p := pairStat{name: r.Name, rounds: n}
+		ratios := make([]float64, n)
+		for i := range ratios {
+			ratios[i] = cs[i] / bs[i]
+			if ratios[i] > 1 {
+				p.wins++
+			} else if ratios[i] < 1 {
+				p.losses++
+			}
+		}
+		p.baseMed, p.baseQ1, p.baseQ3 = quantile(bs, 0.5), quantile(bs, 0.25), quantile(bs, 0.75)
+		p.changeMed, p.ratio = quantile(cs, 0.5), quantile(ratios, 0.5)
+		stats = append(stats, p)
+	}
+	return stats
+}
+
+// quantile returns the q-quantile of xs, interpolating linearly
+// between the two closest ranks.
+func quantile(xs []float64, q float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+// runPair is the -pair mode: one line per series, exit 1 when any
+// series failed.
+func runPair(basePath, changePath string, stdout, stderr io.Writer) int {
+	var docs [2]Doc
+	for i, path := range []string{basePath, changePath} {
+		f, err := os.Open(path)
+		if err == nil {
+			docs[i], err = parse(bufio.NewScanner(f))
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "benchjson: %s: %v\n", path, err)
+			return 1
+		}
+	}
+	stats := pairStats(docs[0], docs[1])
+	if len(stats) == 0 {
+		fmt.Fprintln(stderr, "benchjson: no series with MB/s in both runs")
+		return 1
+	}
+	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "series\tbase MB/s\tbase q1\tbase q3\tchange MB/s\tratio\twins\t")
+	failures := 0
+	for _, p := range stats {
+		verdict := ""
+		if p.failed() {
+			verdict, failures = "SLOWER", failures+1
+		}
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\t%d/%d\t%s\n",
+			p.name, p.baseMed, p.baseQ1, p.baseQ3, p.changeMed, p.ratio, p.wins, p.rounds, verdict)
+	}
+	tw.Flush()
+	if failures > 0 {
+		fmt.Fprintf(stderr, "benchjson: FAIL: %d series slower in 8 of 10 rounds with the median below the base's lower quartile\n", failures)
+		return 1
+	}
+	return 0
+}

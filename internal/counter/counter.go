@@ -58,12 +58,8 @@ func NewTwoBit() *Saturating { return NewSaturating(2, 2) }
 func (s *Saturating) Predict() bool { return s.state > s.max/2 }
 
 // Update increments the counter on taken, decrements on not-taken,
-// saturating at both ends. Branchless, mirroring Table.Update.
-func (s *Saturating) Update(taken bool) {
-	up := b2u8(taken)
-	s.state += up & b2u8(s.state < s.max)
-	s.state -= (1 - up) & b2u8(s.state > 0)
-}
+// saturating at both ends: Table.Update's transition.
+func (s *Saturating) Update(taken bool) { s.state = next(s.state, s.max, taken) }
 
 // Reset restores the initial state.
 func (s *Saturating) Reset() { s.state = s.init }

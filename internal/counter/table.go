@@ -1,6 +1,9 @@
 package counter
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Table is a dense 2^rows x 2^cols array of k-bit saturating counters
 // — the second-level structure of Figure 1 in the paper (two-bit by
@@ -90,52 +93,41 @@ func (t *Table) RowMask() uint64 { return t.rowMask }
 // ColMask returns the column-index mask (Cols()-1).
 func (t *Table) ColMask() uint64 { return t.colMask }
 
-// Raw exposes the backing counter array and saturation parameters for
-// the batched simulation kernels (bpred/internal/sim), which hoist
-// them into loop-local registers — Go's alias analysis cannot prove a
-// counter store leaves *Table fields intact, so going through the
-// methods would reload every field on every branch. An entry predicts
-// taken when state >= thresh; training saturates at [0, max].
+// Raw exposes the backing counter array and the Step table of the
+// counter width for the batched simulation kernels
+// (bpred/internal/sim), which hoist both into loop-local registers.
 // Mutating the returned slice bypasses Reset bookkeeping; only the
 // kernels should use this.
-func (t *Table) Raw() (state []uint8, max, thresh uint8) {
-	return t.state, t.max, t.thresh
+func (t *Table) Raw() (state []uint8, step *Step) {
+	return t.state, &steps[bits.Len8(t.max)-1]
 }
 
 // CounterBits returns the counter width.
-func (t *Table) CounterBits() int {
-	bits := 0
-	for 1<<bits-1 < int(t.max) {
-		bits++
-	}
-	return bits
-}
+func (t *Table) CounterBits() int { return bits.Len8(t.max) }
 
 // Predict returns the prediction of entry idx (true = taken).
 func (t *Table) Predict(idx int) bool { return t.state[idx] >= t.thresh }
 
-// Update trains entry idx with the outcome. The saturating step is
-// branchless (compare results become 0/1 masks) so the simulation hot
-// loop carries no data-dependent branches of its own.
+// Update trains entry idx with the outcome.
 func (t *Table) Update(idx int, taken bool) {
-	s := t.state[idx]
-	up := b2u8(taken)
-	s += up & b2u8(s < t.max)
-	s -= (1 - up) & b2u8(s > 0)
-	t.state[idx] = s
+	t.state[idx] = next(t.state[idx], t.max, taken)
 }
 
-// Access is the fused predict-then-train step used by the batched
-// simulation kernels: one load serves both the prediction read and the
-// branchless saturating update. It is bit-identical to Predict
-// followed by Update.
+// Access is the fused predict-then-train step: one load serves both
+// the prediction read and the saturating update. It is bit-identical
+// to Predict followed by Update.
 func (t *Table) Access(idx int, taken bool) bool {
 	s := t.state[idx]
-	up := b2u8(taken)
-	n := s + up&b2u8(s < t.max)
-	n -= (1 - up) & b2u8(s > 0)
-	t.state[idx] = n
+	t.state[idx] = next(s, t.max, taken)
 	return s >= t.thresh
+}
+
+// next is the saturating transition every counter shares: up on
+// taken, down on not-taken, clamped to [0, max]. Compare results
+// become 0/1 masks, so the step carries no data-dependent branch.
+func next(s, max uint8, taken bool) uint8 {
+	up := b2u8(taken)
+	return s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
 }
 
 // b2u8 converts a bool to 0/1; the compiler lowers it to a flag move,
@@ -146,6 +138,25 @@ func b2u8(b bool) uint8 {
 	}
 	return 0
 }
+
+// Step is one counter width's train-and-score step as a lookup:
+// Step[s<<1|u] = next | mispredict<<8 for outcome u (1 = taken), where
+// next is the state Update moves s to and mispredict is 1 when s's
+// prediction (s >= thresh) disagrees with u. States above the width's
+// maximum are never reached.
+type Step [512]uint16
+
+// steps holds the Step of each width 1..8, built with Update's rule.
+var steps = func() (st [8]Step) {
+	for w := range st {
+		max, thresh := uint8(2<<w-1), uint8(1<<w) // width w+1
+		for i := range st[w] {
+			s, taken := uint8(i>>1), i&1 == 1
+			st[w][i] = uint16(next(s, max, taken)) | uint16(b2u8((s >= thresh) != taken))<<8
+		}
+	}
+	return st
+}()
 
 // State returns the raw counter state of entry idx.
 func (t *Table) State(idx int) uint8 { return t.state[idx] }

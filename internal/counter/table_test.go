@@ -273,3 +273,24 @@ func TestBranchlessUpdateMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestStepMatchesAccess checks every Step entry a table can reach
+// against Table.Access, exhaustively: for each width 1..8, each state
+// 0..2^w-1 and both outcomes, step[s<<1|u] must hold the state Access
+// leaves and whether Access's prediction missed.
+func TestStepMatchesAccess(t *testing.T) {
+	for bits := 1; bits <= 8; bits++ {
+		tab := NewTableBits(0, 0, bits)
+		_, step := tab.Raw()
+		for s := 0; s < 1<<bits; s++ {
+			for u, taken := range []bool{false, true} {
+				tab.state[0] = uint8(s)
+				pred := tab.Access(0, taken)
+				want := uint16(tab.State(0)) | uint16(b2u8(pred != taken))<<8
+				if got := step[s<<1|u]; got != want {
+					t.Fatalf("bits=%d state=%d taken=%v: step = %#x, want %#x", bits, s, taken, got, want)
+				}
+			}
+		}
+	}
+}

@@ -313,18 +313,19 @@ func EngineDump(p core.Predictor, maxEntries int) string {
 		}
 	}
 	tab := tl.Table()
-	state, _, thresh := tab.Raw()
+	state, _ := tab.Raw()
+	init := uint8(1) << (tab.CounterBits() - 1) // weakly taken
 	cols := tab.Cols()
 	away := 0
 	for _, s := range state {
-		if s != thresh {
+		if s != init {
 			away++
 		}
 	}
 	fmt.Fprintf(&sb, "  counters away from initial state: %d\n", away)
 	printed := 0
 	for idx, s := range state {
-		if s == thresh {
+		if s == init {
 			continue
 		}
 		if maxEntries > 0 && printed >= maxEntries {

@@ -21,11 +21,11 @@ import (
 // The kernel for a scheme is selected once per run by a type switch
 // on the concrete RowSelector (and, for per-address schemes, on the
 // concrete BranchHistoryTable), hoisting every dynamic dispatch of
-// the hot loop out of the per-branch path. Inside the loops only
-// direct arithmetic on hoisted locals remains (plus the concrete,
-// inlinable BHT accessors for per-address schemes); the counter step
-// is the branchless form of counter.Table.Update and the history step
-// the branchless form of history.ShiftRegister.Shift.
+// the hot loop out of the per-branch path. A selector whose history
+// width or column split disagrees with its table keeps the generic
+// loop; the scheme constructors in core never build one. Inside the
+// loops only direct arithmetic on hoisted locals remains (plus the
+// concrete, inlinable BHT accessors for per-address schemes).
 
 // defaultChunk is the number of branches per streamed chunk: 8192
 // records x 24 bytes = 192 KiB, sized so a chunk stays L2-resident
@@ -66,11 +66,17 @@ func kernelFor(p core.Predictor) kernelFunc {
 	case core.ZeroSelector:
 		return zeroKernel(tab, meter)
 	case *core.GlobalSelector:
-		return globalKernel(tab, meter, sel.Reg())
+		if sel.Reg().Bits() == tab.RowBits() {
+			return globalKernel(tab, meter, sel.Reg(), tab.ColMask())
+		}
 	case *core.GShareSelector:
-		return gshareKernel(tab, meter, sel.Reg(), sel.ColBits())
+		if sel.Reg().Bits() == tab.RowBits() && sel.ColBits() == tab.ColBits() {
+			return globalKernel(tab, meter, sel.Reg(), ^uint64(0))
+		}
 	case *core.PathSelector:
-		return pathKernel(tab, meter, sel.Reg())
+		if sel.Reg().Bits() == tab.RowBits() {
+			return pathKernel(tab, meter, sel.Reg())
+		}
 	case *core.PerAddressSelector:
 		if k := perAddressKernel(tab, meter, sel); k != nil {
 			return k
@@ -94,297 +100,166 @@ func genericKernel(p core.Predictor) kernelFunc {
 	}
 }
 
-// The scheme kernels below hoist every loop-invariant load into
-// locals before entering the branch loop: the raw counter array and
-// its saturation parameters (counter.Table.Raw), the index masks, and
-// — crucially — the history register *value*, which lives in a
-// machine register for the whole chunk and is written back through
-// Set at the end. Go's alias analysis must otherwise assume the
-// per-branch counter store could overwrite *Table / *ShiftRegister
-// fields and reload them every iteration. The saturating counter step
-// is the branchless form of Table.Update, verified bit-identical by
-// the counter package tests and by kernel_test.go.
-
-// The unmetered kernels additionally specialize the paper's default
-// 2-bit counters: the ctrStep table folds the saturating transition
-// and the mispredict bit into one L1-resident lookup, replacing the
-// compare-and-mask saturate plus the threshold compare. For 2-bit
-// state the threshold test (s >= 2) is exactly the counter MSB, so
-// ctrStep's mispredict bit equals (s >= thresh) != taken. Wider
-// counters and metered runs keep the general branchless form.
-//
-// ctrStep[s<<1|u] == next(s,u) | ((s>>1)^u)<<8. The table is sized
-// 256 and indexed by a uint8 expression so the compiler elides the
-// bounds check without a masking AND; entries past 7 are never
-// reached (counter states are 0..3).
-var ctrStep = [256]uint16{
-	0b00<<1 | 0: 0 | 0<<8, 0b00<<1 | 1: 1 | 1<<8,
-	0b01<<1 | 0: 0 | 0<<8, 0b01<<1 | 1: 2 | 1<<8,
-	0b10<<1 | 0: 1 | 1<<8, 0b10<<1 | 1: 3 | 0<<8,
-	0b11<<1 | 0: 2 | 1<<8, 0b11<<1 | 1: 3 | 0<<8,
-}
+// The scheme kernels below hoist every loop invariant into locals (Go's
+// alias analysis would otherwise reload them across every counter
+// store): the counter array and its width's Step table, the index
+// masks, and the history register *value*, written back through Set.
+// Every classic loop trains and scores a counter with one Step lookup
+// (stepCounter). The unmetered loops are //go:noinline leaf functions
+// that take their state as arguments and return (history, misses), so
+// every loop-carried value stays in a register (DESIGN.md §5 gives the
+// loop shape and how to check it); the metered loops call the meter on
+// every branch and stay in closures.
 
 // zeroKernel is the address-indexed (bimodal) fast path: row 0, so
-// only the column index varies.
-//
-// The noinline directive is load-bearing: zeroKernel is cheap enough
-// for the inliner to copy into kernelFor, and the compiler does not
-// re-inline calls inside a closure that was duplicated by inlining —
-// the b2u8/b2u64 helpers would become real CALLs on every branch
-// (observed: ~2x slowdown). Keeping the constructor out of line keeps
-// the closure body fully flattened. The other kernel constructors are
-// already over the inlining budget; this one is only borderline.
+// only the column index varies. The noinline directive is load-bearing:
+// inlined into kernelFor, its metered closure would no longer inline
+// b2u64 and would pay a CALL on every branch.
 //
 //bpred:kernel
 //go:noinline
 func zeroKernel(tab *counter.Table, meter *core.AliasMeter) kernelFunc {
-	state, max, thresh := tab.Raw()
+	state, step := tab.Raw()
 	colMask := tab.ColMask()
-	if meter == nil && max == 3 && thresh == 2 {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			for i := range chunk {
-				b := chunk[i]
-				idx := int((b.PC >> 2) & colMask)
-				t := ctrStep[state[idx]<<1|b2u8(b.Taken)]
-				state[idx] = uint8(t)
-				miss += uint64(t >> 8)
-			}
-			return miss
-		}
-	}
 	if meter != nil {
 		return func(chunk []trace.Branch) uint64 {
 			var miss uint64
 			for i := range chunk {
 				b := chunk[i]
-				idx := int((b.PC >> 2) & colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, false)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				miss += b2u64((s >= thresh) != b.Taken)
+				idx := (b.PC >> 2) & colMask
+				meter.Record(int(idx), b.PC, b.Taken, false)
+				miss += stepCounter(state, step, idx, b.Taken)
 			}
 			return miss
 		}
 	}
 	return func(chunk []trace.Branch) uint64 {
-		var miss uint64
-		for i := range chunk {
-			b := chunk[i]
-			idx := int((b.PC >> 2) & colMask)
-			s := state[idx]
-			up := b2u8(b.Taken)
-			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-			miss += b2u64((s >= thresh) != b.Taken)
+		return zeroLoop(chunk, state, step, colMask)
+	}
+}
+
+// zeroLoop is zeroKernel's unmetered loop.
+//
+//bpred:kernel
+//go:noinline
+func zeroLoop(chunk []trace.Branch, state []uint8, step *counter.Step, colMask uint64) (miss uint64) {
+	_, _ = state[colMask], step[0] // hoist the bounds and nil checks
+	for i := range chunk {
+		b := chunk[i]
+		idx := (b.PC >> 2) & colMask
+		miss += stepCounter(state, step, idx, b.Taken)
+	}
+	return miss
+}
+
+// globalKernel is the fast path of GAg, GAs and McFarling's gshare,
+// all indexed (value<<colBits ^ pc>>2&pcMask) & tableMask: GAs passes
+// the column mask, so only column bits reach the index below the
+// history's zero low bits; gshare passes all ones, so the address bits
+// above the columns XOR into the row. kernelFor picks it only when the
+// register is as wide as the rows (and gshare skips exactly the
+// table's column bits), so & tableMask also re-masks the history.
+//
+//bpred:kernel
+func globalKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.ShiftRegister, pcMask uint64) kernelFunc {
+	state, step := tab.Raw()
+	c, tableMask := uint(tab.ColBits()), uint64(tab.Size()-1)
+	one, histMask := uint64(1)<<c, reg.Mask()<<c
+	if meter != nil {
+		return func(chunk []trace.Branch) uint64 {
+			var miss uint64
+			hv := reg.Value() << c
+			for i := range chunk {
+				b := chunk[i]
+				idx := (hv ^ b.PC>>2&pcMask) & tableMask
+				meter.Record(int(idx), b.PC, b.Taken, hv == histMask)
+				miss += stepCounter(state, step, idx, b.Taken)
+				hv = (hv<<1 | one&-b2u64(b.Taken)) & tableMask
+			}
+			reg.Set(hv >> c)
+			return miss
 		}
+	}
+	return func(chunk []trace.Branch) uint64 {
+		hv, miss := globalLoop(chunk, state, step, reg.Value()<<c, one, pcMask, tableMask)
+		reg.Set(hv >> c)
 		return miss
 	}
 }
 
-// globalKernel is the GAg/GAs fast path: row = global history.
+// globalLoop is globalKernel's unmetered loop over the pre-shifted
+// history hv.
 //
 //bpred:kernel
-func globalKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.ShiftRegister) kernelFunc {
-	state, max, thresh := tab.Raw()
-	rowMask, colMask, colBits := tab.RowMask(), tab.ColMask(), uint(tab.ColBits())
-	regMask := reg.Mask()
-	if meter == nil && max == 3 && thresh == 2 {
-		rm := rowMask << colBits
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				pc2 := b.PC >> 2
-				idx := int((val<<colBits)&rm | pc2&colMask)
-				up := b2u8(b.Taken)
-				t := ctrStep[state[idx]<<1|up]
-				state[idx] = uint8(t)
-				val = (val<<1 | uint64(up)) & regMask
-				miss += uint64(t >> 8)
-			}
-			reg.Set(val)
-			return miss
-		}
+//go:noinline
+func globalLoop(chunk []trace.Branch, state []uint8, step *counter.Step, hv, one, pcMask, tableMask uint64) (uint64, uint64) {
+	_, _ = state[tableMask], step[0] // hoist the bounds and nil checks
+	var miss uint64
+	for i := range chunk {
+		b := chunk[i]
+		idx := (hv ^ b.PC>>2&pcMask) & tableMask
+		miss += stepCounter(state, step, idx, b.Taken)
+		hv = (hv<<1 | one&-b2u64(b.Taken)) & tableMask
 	}
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, val == regMask)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				val = (val<<1 | uint64(up)) & regMask
-				miss += b2u64((s >= thresh) != b.Taken)
-			}
-			reg.Set(val)
-			return miss
-		}
-	}
-	return func(chunk []trace.Branch) uint64 {
-		var miss uint64
-		val := reg.Value()
-		for i := range chunk {
-			b := chunk[i]
-			idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
-			s := state[idx]
-			up := b2u8(b.Taken)
-			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-			val = (val<<1 | uint64(up)) & regMask
-			miss += b2u64((s >= thresh) != b.Taken)
-		}
-		reg.Set(val)
-		return miss
-	}
-}
-
-// gshareKernel is McFarling's XOR fast path: row = history XOR the
-// address bits above column selection.
-//
-//bpred:kernel
-func gshareKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.ShiftRegister, colBits int) kernelFunc {
-	state, max, thresh := tab.Raw()
-	rowMask, colMask, colShift := tab.RowMask(), tab.ColMask(), uint(tab.ColBits())
-	shift := 2 + uint(colBits)
-	regMask := reg.Mask()
-	if meter == nil && max == 3 && thresh == 2 && uint(colBits) == colShift {
-		// Selector and table agree on the column width (true by
-		// construction in NewGShare), so the XOR's address shift folds
-		// into the shifted row mask: (val<<c ^ pc2) & (rowMask<<c) is
-		// ((val ^ pc2>>c) & rowMask) << c.
-		rm := rowMask << colShift
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				pc2 := b.PC >> 2
-				idx := int((val<<colShift^pc2)&rm | pc2&colMask)
-				up := b2u8(b.Taken)
-				t := ctrStep[state[idx]<<1|up]
-				state[idx] = uint8(t)
-				val = (val<<1 | uint64(up)) & regMask
-				miss += uint64(t >> 8)
-			}
-			reg.Set(val)
-			return miss
-		}
-	}
-	if meter != nil {
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				row := (val ^ (b.PC >> shift)) & rowMask
-				idx := int(row<<colShift | (b.PC>>2)&colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, val == regMask)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				val = (val<<1 | uint64(up)) & regMask
-				miss += b2u64((s >= thresh) != b.Taken)
-			}
-			reg.Set(val)
-			return miss
-		}
-	}
-	return func(chunk []trace.Branch) uint64 {
-		var miss uint64
-		val := reg.Value()
-		for i := range chunk {
-			b := chunk[i]
-			row := (val ^ (b.PC >> shift)) & rowMask
-			idx := int(row<<colShift | (b.PC>>2)&colMask)
-			s := state[idx]
-			up := b2u8(b.Taken)
-			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-			val = (val<<1 | uint64(up)) & regMask
-			miss += b2u64((s >= thresh) != b.Taken)
-		}
-		reg.Set(val)
-		return miss
-	}
+	return hv, miss
 }
 
 // pathKernel is Nair's path-history fast path: row = target-address
-// bit history; AllOnes never applies to path patterns.
+// bit history; AllOnes never applies to path patterns. As in
+// globalKernel, the register is as wide as the rows, so & tableMask
+// re-masks the history.
 //
 //bpred:kernel
 func pathKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.PathRegister) kernelFunc {
-	state, max, thresh := tab.Raw()
-	rowMask, colMask, colBits := tab.RowMask(), tab.ColMask(), uint(tab.ColBits())
-	regMask := reg.Mask()
-	bpt := uint(reg.BitsPerTarget())
+	state, step := tab.Raw()
+	c, colMask, tableMask := uint(tab.ColBits()), tab.ColMask(), uint64(tab.Size()-1)
+	one := uint64(1) << c
+	bpt := min(uint64(reg.BitsPerTarget()), 63) // a shift by 63 already clears the history
 	tgtMask := uint64(1)<<bpt - 1
-	if meter == nil && max == 3 && thresh == 2 {
-		rm := rowMask << colBits
-		return func(chunk []trace.Branch) uint64 {
-			var miss uint64
-			val := reg.Value()
-			for i := range chunk {
-				b := chunk[i]
-				pc2 := b.PC >> 2
-				idx := int((val<<colBits)&rm | pc2&colMask)
-				t := ctrStep[state[idx]<<1|b2u8(b.Taken)]
-				state[idx] = uint8(t)
-				next := b.PC + 4
-				if b.Taken {
-					next = b.Target
-				}
-				val = (val<<bpt | (next>>2)&tgtMask) & regMask
-				miss += uint64(t >> 8)
-			}
-			reg.Set(val)
-			return miss
-		}
-	}
 	if meter != nil {
 		return func(chunk []trace.Branch) uint64 {
 			var miss uint64
-			val := reg.Value()
+			hv := reg.Value() << c
 			for i := range chunk {
 				b := chunk[i]
-				idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
-				s := state[idx]
-				meter.Record(idx, b.PC, b.Taken, false)
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				next := b.PC + 4
-				if b.Taken {
-					next = b.Target
-				}
-				val = (val<<bpt | (next>>2)&tgtMask) & regMask
-				miss += b2u64((s >= thresh) != b.Taken)
+				idx := (hv | (b.PC>>2)&colMask) & tableMask
+				meter.Record(int(idx), b.PC, b.Taken, false)
+				miss += stepCounter(state, step, idx, b.Taken)
+				next := b.PC + 4 + (b.Target-b.PC-4)&-b2u64(b.Taken)
+				hv = (hv<<bpt | (next>>2&tgtMask)<<c) & tableMask
 			}
-			reg.Set(val)
+			reg.Set(hv >> c)
 			return miss
 		}
 	}
 	return func(chunk []trace.Branch) uint64 {
-		var miss uint64
-		val := reg.Value()
-		for i := range chunk {
-			b := chunk[i]
-			idx := int((val&rowMask)<<colBits | (b.PC>>2)&colMask)
-			s := state[idx]
-			up := b2u8(b.Taken)
-			state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-			next := b.PC + 4
-			if b.Taken {
-				next = b.Target
-			}
-			val = (val<<bpt | (next>>2)&tgtMask) & regMask
-			miss += b2u64((s >= thresh) != b.Taken)
-		}
-		reg.Set(val)
+		hv, miss := pathLoop(chunk, state, step, reg.Value()<<c, one, tgtMask, tableMask, bpt)
+		reg.Set(hv >> c)
 		return miss
 	}
+}
+
+// pathLoop is pathKernel's unmetered loop over the pre-shifted history
+// hv. To spare registers it derives the column mask as one-1, places
+// the target bits with a multiply, and selects the next address with a
+// mask.
+//
+//bpred:kernel
+//go:noinline
+func pathLoop(chunk []trace.Branch, state []uint8, step *counter.Step, hv, one, tgtMask, tableMask, bpt uint64) (uint64, uint64) {
+	_, _ = state[tableMask], step[0] // hoist the bounds and nil checks
+	var miss uint64
+	for i := range chunk {
+		b := &chunk[i]
+		idx := (hv | (b.PC>>2)&(one-1)) & tableMask
+		up := b2u64(b.Taken)
+		t := step[uint64(state[idx])<<1|up]
+		state[idx] = uint8(t)
+		miss += uint64(t >> 8)
+		next := b.PC + 4 + (b.Target-b.PC-4)&-up
+		hv = (hv<<(bpt&63) | (next>>2&tgtMask)*one) & tableMask
+	}
+	return hv, miss
 }
 
 // perAddressKernel is the PAg/PAs fast path. The first-level table is
@@ -396,13 +271,9 @@ func pathKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.PathReg
 //
 //bpred:kernel
 func perAddressKernel(tab *counter.Table, meter *core.AliasMeter, sel *core.PerAddressSelector) kernelFunc {
-	state, max, thresh := tab.Raw()
+	state, step := tab.Raw()
 	rowMask, colMask, colBits := tab.RowMask(), tab.ColMask(), uint(tab.ColBits())
-	bits := sel.BHT().Bits()
-	allMask := uint64(0)
-	if bits > 0 {
-		allMask = 1<<uint(bits) - 1
-	}
+	allMask := uint64(1)<<uint(sel.BHT().Bits()) - 1 // 0 for a 0-bit register
 	switch bht := sel.BHT().(type) {
 	case *history.Perfect:
 		// Perfect.Access folds Lookup+Update into one table probe;
@@ -413,14 +284,11 @@ func perAddressKernel(tab *counter.Table, meter *core.AliasMeter, sel *core.PerA
 			for i := range chunk {
 				b := chunk[i]
 				row := bht.Access(b.PC, b.Taken)
-				idx := int((row&rowMask)<<colBits | (b.PC>>2)&colMask)
-				s := state[idx]
+				idx := (row&rowMask)<<colBits | (b.PC>>2)&colMask
 				if meter != nil {
-					meter.Record(idx, b.PC, b.Taken, row == allMask)
+					meter.Record(int(idx), b.PC, b.Taken, row == allMask)
 				}
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				miss += b2u64((s >= thresh) != b.Taken)
+				miss += stepCounter(state, step, idx, b.Taken)
 			}
 			return miss
 		}
@@ -434,14 +302,11 @@ func perAddressKernel(tab *counter.Table, meter *core.AliasMeter, sel *core.PerA
 			for i := range chunk {
 				b := chunk[i]
 				row, _ := bht.Access(b.PC, b.Taken)
-				idx := int((row&rowMask)<<colBits | (b.PC>>2)&colMask)
-				s := state[idx]
+				idx := (row&rowMask)<<colBits | (b.PC>>2)&colMask
 				if meter != nil {
-					meter.Record(idx, b.PC, b.Taken, row == allMask)
+					meter.Record(int(idx), b.PC, b.Taken, row == allMask)
 				}
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				miss += b2u64((s >= thresh) != b.Taken)
+				miss += stepCounter(state, step, idx, b.Taken)
 			}
 			return miss
 		}
@@ -451,14 +316,11 @@ func perAddressKernel(tab *counter.Table, meter *core.AliasMeter, sel *core.PerA
 			for i := range chunk {
 				b := chunk[i]
 				row, _ := bht.Access(b.PC, b.Taken)
-				idx := int((row&rowMask)<<colBits | (b.PC>>2)&colMask)
-				s := state[idx]
+				idx := (row&rowMask)<<colBits | (b.PC>>2)&colMask
 				if meter != nil {
-					meter.Record(idx, b.PC, b.Taken, row == allMask)
+					meter.Record(int(idx), b.PC, b.Taken, row == allMask)
 				}
-				up := b2u8(b.Taken)
-				state[idx] = s + up&b2u8(s < max) - (1-up)&b2u8(s > 0)
-				miss += b2u64((s >= thresh) != b.Taken)
+				miss += stepCounter(state, step, idx, b.Taken)
 			}
 			return miss
 		}
@@ -514,18 +376,17 @@ func (r *runner) finish() Metrics {
 	return m
 }
 
+// stepCounter trains counter idx through the Step table and returns 1
+// when its prediction missed.
+func stepCounter(state []uint8, step *counter.Step, idx uint64, taken bool) uint64 {
+	t := step[uint64(state[idx])<<1|b2u64(taken)]
+	state[idx] = uint8(t)
+	return uint64(t >> 8)
+}
+
 // b2u64 converts a bool to 0/1; the compiler lowers it to a flag
 // move, keeping the mispredict accumulation branchless.
 func b2u64(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// b2u8 is the counter-width variant of b2u64, used by the branchless
-// saturating-counter step inlined into the kernels.
-func b2u8(b bool) uint8 {
 	if b {
 		return 1
 	}

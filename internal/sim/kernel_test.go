@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"bpred/internal/core"
@@ -47,7 +48,7 @@ func kernelTrace(seed uint64, n int) *trace.Trace {
 // sub-kernels), metered variants, non-default counter widths, and a
 // non-TwoLevel predictor that must take the generic chunk loop.
 func equivalenceSchemes() map[string]func() core.Predictor {
-	return map[string]func() core.Predictor{
+	schemes := map[string]func() core.Predictor{
 		"address":       func() core.Predictor { return core.NewAddressIndexed(10) },
 		"address-1bit":  func() core.Predictor { return core.NewAddressIndexed(10).WithCounterBits(1) },
 		"address-meter": func() core.Predictor { return core.NewAddressIndexed(8).EnableMeter() },
@@ -92,7 +93,31 @@ func equivalenceSchemes() map[string]func() core.Predictor {
 		"mcfarling-meter": func() core.Predictor {
 			return core.NewMcFarling(8, 9, 7, true)
 		},
+		// Tier edges: an all-address and an all-history gshare split,
+		// and a 2^16-counter table.
+		"gshare-rows0": func() core.Predictor { return core.NewGShare(0, 8) },
+		"gshare-cols0": func() core.Predictor { return core.NewGShare(10, 0) },
+		"gshare-64k":   func() core.Predictor { return core.NewGShare(14, 2) },
+		// More target bits per event than a shift count can hold.
+		"path-wide": func() core.Predictor { return core.NewPath(10, 2, 70) },
 	}
+	// Every classic loop steps its counters through the Step table of
+	// the table's width: cover the narrowest, an odd, and the widest
+	// width, metered and not.
+	families := map[string]func() *core.TwoLevel{
+		"address": func() *core.TwoLevel { return core.NewAddressIndexed(9) },
+		"gas":     func() *core.TwoLevel { return core.NewGAs(6, 3) },
+		"gshare":  func() *core.TwoLevel { return core.NewGShare(7, 2) },
+		"path":    func() *core.TwoLevel { return core.NewPath(6, 2, 2) },
+	}
+	for fam, mk := range families {
+		for _, bits := range []int{1, 3, 8} {
+			name := fmt.Sprintf("width/%s-%dbit", fam, bits)
+			schemes[name] = func() core.Predictor { return mk().WithCounterBits(bits) }
+			schemes[name+"-meter"] = func() core.Predictor { return mk().WithCounterBits(bits).EnableMeter() }
+		}
+	}
+	return schemes
 }
 
 // checkEquivalent runs generic and batched copies of one scheme over
@@ -220,9 +245,13 @@ func TestZeroAllocPerBranch(t *testing.T) {
 	// Warm first-level Perfect tables so map growth is excluded; the
 	// steady-state loop is what the zero-alloc claim covers.
 	schemes := map[string]func() core.Predictor{
-		"address": func() core.Predictor { return core.NewAddressIndexed(10) },
-		"gshare":  func() core.Predictor { return core.NewGShare(9, 2).EnableMeter() },
-		"pas":     func() core.Predictor { return core.NewPAs(3, history.NewPerfect(7)) },
+		"address":      func() core.Predictor { return core.NewAddressIndexed(10) },
+		"gshare":       func() core.Predictor { return core.NewGShare(9, 2).EnableMeter() },
+		"gshare-plain": func() core.Predictor { return core.NewGShare(9, 2) },
+		"gshare-3bit":  func() core.Predictor { return core.NewGShare(9, 2).WithCounterBits(3) },
+		"gas":          func() core.Predictor { return core.NewGAs(7, 3) },
+		"path":         func() core.Predictor { return core.NewPath(8, 3, 2) },
+		"pas":          func() core.Predictor { return core.NewPAs(3, history.NewPerfect(7)) },
 		"tage": func() core.Predictor {
 			return core.NewTAGE(5, 6, core.TAGEParams{Tables: 16, MaxHist: 64, TagBits: 16}, true)
 		},
