@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race bench-sim bench-short bench-check bench-pair cover fuzz-smoke diff-fuzz serve serve-test cluster-test e2e-smoke soak all
+.PHONY: build test vet lint race loc bench-sim bench-short bench-check bench-pair cover fuzz-smoke diff-fuzz serve serve-test cluster-test e2e-smoke soak all
 
 all: build vet lint test
 
@@ -32,6 +32,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints the non-test Go line count that CHANGES.md entries and
+# ROADMAP.md's "Net state" quote: tracked .go files minus tests,
+# testdata fixtures, and the e2ebench module.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '/testdata/' | grep -v '^e2ebench/' | xargs cat | wc -l
 
 # serve runs the sweep service locally (README "Sweep service").
 SERVE_ADDR ?= :8149

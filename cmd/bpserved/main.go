@@ -1,32 +1,32 @@
 // bpserved serves branch-predictor sweeps over HTTP: upload BPT1
 // traces, submit sweep jobs, poll status, stream progress, and fetch
-// results, with all simulation deduplicated through the shared BPC1
-// checkpoint cache.
+// results, with all simulation deduplicated through one BPC1 ledger.
 //
 // Usage:
 //
 //	bpserved -data ./bpserved-data                 # single-node on :8149
 //	bpserved -listen 127.0.0.1:0 -workers 4        # ephemeral port
 //
-// Cluster mode splits the process into a coordinator and workers:
+// Every server is a one-node cluster: a coordinator that owns the
+// ledger and schedules cells, plus one embedded in-process worker.
+// -role coordinator also mounts the cluster transport under
+// /cluster/v1/, so more workers can join:
 //
 //	bpserved -role coordinator -data ./coord-data
 //	bpserved -role worker -node w1 -join http://localhost:8149
 //	bpserved -role worker -node w2 -join http://localhost:8149
 //
-// The coordinator serves the normal sweep API, consistent-hashes the
-// cells of every job across joined workers (plus one embedded local
-// worker so a lone coordinator still completes jobs), and keeps the
-// authoritative BPC1 ledger; workers are stateless pullers that dial
-// in over HTTP — no inbound connectivity to them is needed.
+// The coordinator consistent-hashes the cells of every job across the
+// embedded worker and the joined ones; workers are stateless pullers
+// that dial in over HTTP — no inbound connectivity to them is needed.
 //
 // The chosen listen address is printed to stderr as
 // "bpserved: listening on ADDR" once the socket is bound, so wrappers
 // can parse it when using port 0. SIGINT/SIGTERM drains gracefully:
-// running jobs stop at their next chunk boundary, checkpoints are
-// flushed, the job table is persisted, and the process exits 0; a
-// restart over the same -data directory resumes interrupted jobs and
-// keeps serving completed results.
+// running jobs are interrupted, the embedded worker stops at its next
+// trace chunk, the ledger is flushed, the job table is persisted, and
+// the process exits 0; a restart over the same -data directory
+// resumes interrupted jobs and keeps serving completed results.
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -54,9 +53,9 @@ func main() {
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = 2)")
 		queue    = flag.Int("queue", 0, "job queue depth before submissions see 429 (0 = 64)")
 		maxBr    = flag.Uint64("max-trace-branches", 0, "per-trace record cap (0 = 16M)")
-		drainFor = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for running jobs to reach a chunk boundary")
+		drainFor = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for running jobs and the embedded worker to stop")
 		role     = flag.String("role", "single", "process role: single, coordinator, or worker")
-		node     = flag.String("node", "", "this node's fleet identity (default: derived from role and pid)")
+		node     = flag.String("node", "", "-role worker: this worker's fleet identity (default: worker-<pid>)")
 		join     = flag.String("join", "", "coordinator base URL a worker dials, e.g. http://host:8149 (required for -role worker)")
 		lease    = flag.Duration("cluster-lease", 2*time.Minute, "coordinator: re-queue a dispatched chunk if not completed within this lease (0 disables)")
 		authFile = flag.String("auth-file", "", "tenants JSON file ([{name, key, max_traces, max_queued_jobs}]); enables multi-tenant auth")
@@ -98,22 +97,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bpserved: multi-tenant mode, %d tenants\n", len(tenants))
 	}
 
-	// Coordinator role: jobs schedule onto the cluster instead of the
-	// in-process engine. The coordinator's ledger lives under its own
-	// subdirectory — the manager's per-job stores already own
-	// checkpoints/, and checkpoint forbids two live Stores per path.
-	var coord *cluster.Coordinator
+	// Only remote workers can go silent, so only the coordinator role
+	// leases chunks.
 	if *role == "coordinator" {
-		if err := os.MkdirAll(filepath.Join(*dataDir, "cluster"), 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "bpserved: %v\n", err)
-			os.Exit(1)
-		}
-		coord = cluster.NewCoordinator(cluster.Config{
-			Dir:          filepath.Join(*dataDir, "cluster"),
-			LeaseTimeout: *lease,
-			PublishName:  "bpcluster",
-		})
-		cfg.Scheduler = service.ClusterScheduler{Coord: coord}
+		cfg.ClusterLease = *lease
 	}
 
 	m, err := service.NewManager(cfg)
@@ -123,24 +110,11 @@ func main() {
 	}
 
 	handler := http.Handler(service.NewServer(m))
-	var localWorkerDone chan error
-	var stopLocalWorker context.CancelFunc
-	if coord != nil {
+	if *role == "coordinator" {
 		mux := http.NewServeMux()
-		mux.Handle("/cluster/v1/", http.StripPrefix("/cluster/v1", cluster.AuthHandler(coord, m.Traces(), *cToken)))
+		mux.Handle("/cluster/v1/", http.StripPrefix("/cluster/v1", cluster.AuthHandler(m.Coordinator(), m.Traces(), *cToken)))
 		mux.Handle("/", handler)
 		handler = mux
-		// Embedded local worker: a lone coordinator still completes
-		// jobs, and a fleet gets this node's cores too.
-		id := *node
-		if id == "" {
-			id = fmt.Sprintf("coord-%d", os.Getpid())
-		}
-		w := cluster.NewWorker(id+"-local", coord, m.Traces())
-		wctx, cancel := context.WithCancel(context.Background())
-		stopLocalWorker = cancel
-		localWorkerDone = make(chan error, 1)
-		go func() { localWorkerDone <- w.Run(wctx) }()
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -166,22 +140,13 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
-	// Drain first (stop accepting work, interrupt jobs at the next
-	// chunk boundary, flush checkpoints, persist the job table), then
-	// close the HTTP side.
+	// Drain first (stop accepting work, interrupt jobs, stop the
+	// embedded worker at its next trace chunk, flush the ledger,
+	// persist the job table), then close the HTTP side.
 	if err := m.Drain(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "bpserved: drain: %v\n", err)
 		srv.Close()
 		os.Exit(1)
-	}
-	if stopLocalWorker != nil {
-		stopLocalWorker()
-		<-localWorkerDone
-	}
-	if coord != nil {
-		if err := coord.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "bpserved: cluster stop: %v\n", err)
-		}
 	}
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "bpserved: shutdown: %v\n", err)

@@ -37,7 +37,7 @@ func TestChaosWorkerKilledMidChunk(t *testing.T) {
 	}
 	done := make(chan runResult, 1)
 	go func() {
-		ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs)
+		ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs, nil)
 		done <- runResult{ms, err}
 	}()
 
@@ -116,7 +116,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 	defer rcancel()
 	phase1 := make(chan error, 1)
 	go func() {
-		_, err := coord1.RunCells(rctx, digest, uint64(o.Sim.Warmup), configs)
+		_, err := coord1.RunCells(rctx, digest, uint64(o.Sim.Warmup), configs, nil)
 		phase1 <- err
 	}()
 
@@ -144,7 +144,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 	f.swapCoordinator(coord2)
 	f.partitionAll(false)
 
-	ms, err := coord2.RunCells(runCtx(t), digest, uint64(o.Sim.Warmup), configs)
+	ms, err := coord2.RunCells(runCtx(t), digest, uint64(o.Sim.Warmup), configs, nil)
 	if err != nil {
 		t.Fatalf("RunCells after restart: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestChaosRestartStaleCompletion(t *testing.T) {
 	defer rcancel()
 	phase1 := make(chan error, 1)
 	go func() {
-		_, err := coord1.RunCells(rctx, digest, uint64(o.Sim.Warmup), configs)
+		_, err := coord1.RunCells(rctx, digest, uint64(o.Sim.Warmup), configs, nil)
 		phase1 <- err
 	}()
 
@@ -233,7 +233,7 @@ func TestChaosRestartStaleCompletion(t *testing.T) {
 	ctx2 := runCtx(t)
 	phase2 := make(chan runCellsResult, 1)
 	go func() {
-		ms, err := coord2.RunCells(ctx2, digest, uint64(o.Sim.Warmup), configs)
+		ms, err := coord2.RunCells(ctx2, digest, uint64(o.Sim.Warmup), configs, nil)
 		phase2 <- runCellsResult{ms, err}
 	}()
 	f2 := startFleet(t, coord2, tracesFor(tr), []string{"fresh"}, nil)
@@ -296,7 +296,7 @@ func TestChaosDuplicateCompletions(t *testing.T) {
 		func(id string, l *chaosLink, w *Worker) { l.dupComplete = true })
 
 	configs := sweep.Configs(o)
-	ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs)
+	ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs, nil)
 	if err != nil {
 		t.Fatalf("RunCells: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestChaosReplicationDelayDrop(t *testing.T) {
 	}()
 
 	configs := sweep.Configs(o)
-	ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs)
+	ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs, nil)
 	if err != nil {
 		t.Fatalf("RunCells: %v", err)
 	}

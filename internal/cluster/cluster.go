@@ -1,19 +1,22 @@
-// Package cluster promotes the sweep service from a single process to
-// a coordinator + N worker topology. Sweep cells — the (trace digest,
-// warmup, config fingerprint) triples that key the BPC1 checkpoint
-// cache — are consistent-hashed across the worker fleet, the service
-// layer's cell-level single-flight is extended to cluster scope (a
-// cell is accepted into the authoritative ledger exactly once,
-// fleet-wide, no matter how many workers report it), and workers pull
-// from per-node queues with work-stealing so one hot sweep saturates
-// every core on every node.
+// Package cluster is the sweep service's scheduler: a coordinator
+// plus N pull-based workers. Every bpserved runs one — a lone server
+// is a one-node cluster whose only worker is embedded in-process.
+// Sweep cells — the (trace digest, warmup, config fingerprint)
+// triples that key the BPC1 checkpoint cache — are consistent-hashed
+// across the worker fleet, the coordinator is the one exactly-once
+// layer (a cell is accepted into the authoritative ledger exactly
+// once, fleet-wide, no matter how many workers report it, and
+// concurrent callers wanting one cell subscribe to one execution),
+// and workers pull from per-node queues with work-stealing so one hot
+// sweep saturates every core on every node.
 //
 // BPC1 checkpoints are the replication unit: the coordinator's
 // per-(trace, warmup) Store is the ledger of settled cells, settled
-// cells are pushed to workers piggybacked on Next responses
-// (best-effort cache warming, so any node can serve any cached cell),
-// and a worker crash loses at most the one chunk it was executing —
-// the coordinator re-queues it on WorkerLeave or lease expiry.
+// cells are pushed to the workers that did not compute them,
+// piggybacked on Next responses (best-effort cache warming, so any
+// node can serve any cached cell), and a worker crash loses at most
+// the one chunk it was executing — the coordinator re-queues it on
+// WorkerLeave or lease expiry.
 //
 // The correctness bar is byte-identity: because the simulator is
 // deterministic in exactly (trace bytes, config, warmup) and BPC1
@@ -41,15 +44,21 @@ var ErrShutdown = errors.New("cluster: coordinator shut down")
 // re-Joins and retries.
 var ErrUnknownWorker = errors.New("cluster: unknown worker")
 
-// Chunk is the dispatch unit: a slab of cells sharing one
-// (trace, warmup) binding, sized by Config.ChunkCells. A worker
-// executes a chunk atomically — a crash mid-chunk loses at most this
-// one chunk, which the coordinator re-queues.
+// Chunk is the dispatch unit: one ring owner's share of one RunCells
+// call, split into slabs of Config.ChunkCells cells when that is set.
+// A worker executes a chunk atomically, in one simulation pass over
+// the trace — a crash mid-chunk loses at most this one chunk, which
+// the coordinator re-queues.
 type Chunk struct {
 	ID      uint64        `json:"id"`
 	Trace   string        `json:"trace"` // hex SHA-256 content digest
 	Warmup  uint64        `json:"warmup"`
 	Configs []core.Config `json:"configs"`
+	// Obs is the enqueuing RunCells caller's counters. It reaches only
+	// in-process workers (it does not cross the wire), which count
+	// the chunk's simulation progress into it as they run, so a job's
+	// progress moves during a tier and not only when it ends.
+	Obs *obs.Counters `json:"-"`
 }
 
 // CellResult carries one completed cell's metrics.
@@ -75,8 +84,13 @@ type ChunkResult struct {
 	Failed []string `json:"failed,omitempty"`
 	// Progress is the worker-side simulation counter delta for this
 	// chunk (branches and chunk batches; the coordinator owns
-	// cell-completion accounting).
+	// cell-completion accounting). The coordinator merges it only from
+	// the completion that settles the chunk's lease.
 	Progress obs.Snapshot `json:"progress"`
+	// Live marks a result whose Progress the worker already counted
+	// into the chunk's Obs as it ran (in-process only, like Obs), so
+	// the coordinator does not credit the caller with it again.
+	Live bool `json:"-"`
 }
 
 // ReplicaCell is a settled cell pushed to workers piggybacked on Next
@@ -124,4 +138,15 @@ type CoordinatorClient interface {
 // worker's run context.
 type TraceProvider interface {
 	Trace(ctx context.Context, digest string) (*trace.Trace, error)
+}
+
+// StreamProvider is a TraceProvider that keeps large traces on disk.
+// OpenStream opens a fresh BPT2 block reader over a trace past the
+// provider's stream cutoff and returns nil for a trace at or under
+// it, which the worker decodes through Trace instead. The service's
+// TraceStore implements it, so the embedded worker never makes a
+// large trace resident (DESIGN.md §13).
+type StreamProvider interface {
+	TraceProvider
+	OpenStream(digest string) (*trace.FileReader, error)
 }

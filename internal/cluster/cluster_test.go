@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bpred/internal/core"
+	"bpred/internal/obs"
 	"bpred/internal/sim"
 	"bpred/internal/sweep"
 	"bpred/internal/trace"
@@ -41,7 +42,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	f := startFleet(t, coord, tracesFor(tr), []string{"w1", "w2", "w3"}, nil)
 
 	configs := sweep.Configs(o)
-	ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs)
+	ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs, nil)
 	if err != nil {
 		t.Fatalf("RunCells: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 
 	// A second pass is served wholly from the ledger.
 	before := coord.Counters().Snapshot().ConfigsCached
-	ms2, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs)
+	ms2, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs, nil)
 	if err != nil {
 		t.Fatalf("second RunCells: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestWorkStealing(t *testing.T) {
 	d := testDigest(3)
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.RunCells(ctx, d, 0, configs)
+		_, err := coord.RunCells(ctx, d, 0, configs, nil)
 		done <- err
 	}()
 
@@ -169,7 +170,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	d := testDigest(4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.RunCells(ctx, d, 0, configs)
+		_, err := coord.RunCells(ctx, d, 0, configs, nil)
 		done <- err
 	}()
 
@@ -219,7 +220,7 @@ func TestChunkFailurePropagates(t *testing.T) {
 	startFleet(t, coord, memTraces{}, []string{"w1"}, nil) // provider has no traces
 
 	configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, Tiers: []int{4}})
-	_, err := coord.RunCells(runCtx(t), testDigest(5), 0, configs)
+	_, err := coord.RunCells(runCtx(t), testDigest(5), 0, configs, nil)
 	if err == nil {
 		t.Fatal("RunCells succeeded with no trace available anywhere")
 	}
@@ -253,7 +254,7 @@ func TestShutdownErrors(t *testing.T) {
 		t.Fatalf("Complete after Stop: %v, want ErrShutdown", err)
 	}
 	cfgs := []core.Config{{Scheme: core.SchemeGShare, RowBits: 2, ColBits: 4}}
-	if _, err := coord.RunCells(ctx, testDigest(6), 0, cfgs); !errors.Is(err, ErrShutdown) {
+	if _, err := coord.RunCells(ctx, testDigest(6), 0, cfgs, nil); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("RunCells after Stop: %v, want ErrShutdown", err)
 	}
 	if err := coord.Stop(); err != nil {
@@ -335,7 +336,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	defer stopWorkers()
 
 	configs := sweep.Configs(o)
-	ms, err := coord.RunCells(runCtx(t), d, uint64(o.Sim.Warmup), configs)
+	ms, err := coord.RunCells(runCtx(t), d, uint64(o.Sim.Warmup), configs, nil)
 	if err != nil {
 		t.Fatalf("RunCells over HTTP: %v", err)
 	}
@@ -353,4 +354,64 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 		t.Fatalf("Stop: %v", err)
 	}
 	assertByteIdentity(t, coord, dir, tr, o, refCSV, refBPC)
+}
+
+// TestDuplicateDeliveryMergesProgressOnce delivers one chunk's
+// completion twice. Only the delivery that settles the lease merges
+// the worker's progress, into the coordinator's counters and the
+// enqueuing caller's, so the duplicate leaves Branches unchanged.
+func TestDuplicateDeliveryMergesProgressOnce(t *testing.T) {
+	coord := NewCoordinator(Config{})
+	defer coord.Stop()
+	ctx := runCtx(t)
+	if err := coord.Join(ctx, "w1"); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, Tiers: []int{5}})
+	var caller obs.Counters
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCells(ctx, testDigest(7), 0, configs, &caller)
+		done <- err
+	}()
+
+	w, err := coord.Next(ctx, "w1")
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	if w.Chunk == nil || len(w.Chunk.Configs) != len(configs) {
+		t.Fatalf("Next = %+v, want one chunk of all %d cells", w.Chunk, len(configs))
+	}
+	res := ChunkResult{
+		Chunk: w.Chunk.ID, Trace: w.Chunk.Trace, Warmup: w.Chunk.Warmup,
+		Progress: obs.Snapshot{Branches: 1000, Chunks: 3},
+	}
+	for _, cfg := range w.Chunk.Configs {
+		res.Cells = append(res.Cells, fakeCell(cfg.Fingerprint()))
+	}
+	if err := coord.Complete(ctx, "w1", res); err != nil {
+		t.Fatalf("Complete: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("RunCells: %v", err)
+	}
+	want := obs.Snapshot{Branches: 1000, Chunks: 3, ConfigsCompleted: uint64(len(configs))}
+	check := func(when string) {
+		t.Helper()
+		for name, cnt := range map[string]*obs.Counters{"coordinator": coord.Counters(), "caller": &caller} {
+			s := cnt.Snapshot()
+			if s.Branches != want.Branches || s.Chunks != want.Chunks || s.ConfigsCompleted != want.ConfigsCompleted {
+				t.Fatalf("%s: %s counters = %+v, want %+v", when, name, s, want)
+			}
+		}
+	}
+	check("after delivery")
+
+	if err := coord.Complete(ctx, "w1", res); err != nil {
+		t.Fatalf("duplicate Complete: %v", err)
+	}
+	if got := coord.Stats().DupCells; got != uint64(len(configs)) {
+		t.Fatalf("DupCells = %d, want %d", got, len(configs))
+	}
+	check("after the duplicate")
 }

@@ -21,14 +21,17 @@ import (
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Dir, when non-empty, roots the authoritative per-(trace,
-	// warmup) BPC1 checkpoint files. Empty keeps the ledger in memory
-	// only (tests). The directory must not be shared with another
-	// live Store per checkpoint's one-Store-per-path rule.
+	// warmup) BPC1 checkpoint files (bpserved uses <data>/checkpoints,
+	// where bpsweep -resume reads them too). Empty keeps the ledger in
+	// memory only (tests). No other live Store may open a file here,
+	// per checkpoint's one-Store-per-path rule.
 	Dir string
-	// ChunkCells is the number of cells per dispatch chunk
-	// (default 8). Smaller chunks bound the work a crash loses;
-	// larger ones amortize dispatch and let one chunk-shared pass over
-	// the trace feed more configurations.
+	// ChunkCells, when positive, caps the cells per dispatch chunk.
+	// Zero makes one RunCells call's cells for one ring owner a
+	// single chunk, so a one-worker fleet runs each call in one
+	// simulation pass over the trace. Smaller chunks bound the work a
+	// crash loses and give stealing finer grain; larger ones let one
+	// chunk-shared pass feed more configurations.
 	ChunkCells int
 	// Vnodes is the virtual-node count per worker on the hash ring
 	// (default DefaultVnodes).
@@ -38,8 +41,6 @@ type Config struct {
 	// silent worker death on the HTTP transport. Zero disables the
 	// reaper; in-process deployments signal death via WorkerLeave.
 	LeaseTimeout time.Duration
-	// NoReplicate disables piggybacked cell replication to workers.
-	NoReplicate bool
 	// Incarnation distinguishes this coordinator's chunk IDs from
 	// those of earlier coordinators over the same deployment: chunk
 	// IDs are incarnation<<32 | sequence, so a completion held in
@@ -71,9 +72,10 @@ type Stats struct {
 	// ReplicasSent counts replica cells piggybacked onto Next
 	// responses.
 	ReplicasSent uint64
-	// FlushErrors counts checkpoint flush failures; accepted cells
-	// stay authoritative in memory and the flush retries on the next
-	// acceptance and at Stop.
+	// FlushErrors counts checkpoint flush failures. The cells stay
+	// authoritative in memory, the RunCells calls waiting on them
+	// fail, and the flush retries on the next RunCells or acceptance
+	// over the same ledger and at Stop.
 	FlushErrors uint64
 	// StaleCompletions counts completions whose chunk ID carries
 	// another coordinator incarnation's tag — deliveries that raced a
@@ -83,12 +85,12 @@ type Stats struct {
 	StaleCompletions uint64
 }
 
-// Coordinator owns the cluster-scope single-flight ledger: the set of
-// settled cells (backed by BPC1 checkpoint stores) plus the queues of
-// chunks in flight. A cell is accepted — counted into
-// ConfigsCompleted and made visible to sweeps — exactly once, however
-// many workers report it; execution is at-least-once only across
-// failures (a chunk whose completion was lost is re-run).
+// Coordinator owns the single-flight ledger: the set of settled cells
+// (backed by BPC1 checkpoint stores) plus the queues of chunks in
+// flight. A cell is accepted — counted into ConfigsCompleted and made
+// visible to sweeps — exactly once, however many workers report it;
+// execution is at-least-once only across failures (a chunk whose
+// completion was lost is re-run).
 //
 // The Coordinator itself implements CoordinatorClient, which is the
 // in-process transport; Handler wraps it for HTTP workers.
@@ -107,7 +109,6 @@ type Coordinator struct {
 	pending  map[uint64]*chunkState       //bplint:guardedby mu // dispatched, awaiting completion
 	cells    map[string]*cellWait         //bplint:guardedby mu // unsettled cells by Key.String()
 	stores   map[string]*checkpoint.Store //bplint:guardedby mu // "digest|warmup" -> authoritative ledger
-	seen     map[uint64]bool              //bplint:guardedby mu // chunk IDs whose progress was merged
 	stats    Stats                        //bplint:guardedby mu
 	stopReap chan struct{}
 }
@@ -125,7 +126,8 @@ type chunkState struct {
 	routeKey string // first cell's Key.String(), the ring placement key
 	assigned string // worker currently leasing it ("" = queued)
 	deadline time.Time
-	settled  bool // reported, or found fully cached at dispatch
+	settled  bool          // reported, or found fully cached at dispatch
+	cnt      *obs.Counters // the enqueuing caller's, credited with the chunk's worker progress
 }
 
 type cellWait struct {
@@ -137,9 +139,6 @@ type cellWait struct {
 // NewCoordinator builds a coordinator. Call Stop to flush the ledger
 // and release waiters.
 func NewCoordinator(cfg Config) *Coordinator {
-	if cfg.ChunkCells <= 0 {
-		cfg.ChunkCells = 8
-	}
 	c := &Coordinator{
 		cfg:     cfg,
 		cnt:     &obs.Counters{},
@@ -148,7 +147,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		pending: make(map[uint64]*chunkState),
 		cells:   make(map[string]*cellWait),
 		stores:  make(map[string]*checkpoint.Store),
-		seen:    make(map[uint64]bool),
 	}
 	c.incarnation = cfg.Incarnation
 	if c.incarnation == 0 {
@@ -220,6 +218,14 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
+// CellsInFlight returns the number of cells enqueued and not yet
+// settled.
+func (c *Coordinator) CellsInFlight() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.cells)
+}
+
 // StoreFor returns the authoritative ledger for one (trace, warmup)
 // binding, creating it on first use. The returned Store is shared —
 // per checkpoint's rules, do not Open a second Store on its path.
@@ -253,18 +259,31 @@ func (c *Coordinator) storeForLocked(digest [32]byte, warmup uint64) (*checkpoin
 // served from the ledger (counted ConfigsCached); missing cells are
 // chunked, routed by ring ownership, and waited on. Concurrent
 // RunCells calls wanting the same cell subscribe to one execution —
-// the cluster-scope single-flight.
+// the single-flight.
 //
-// On ctx cancellation the partial result is returned with ctx.Err():
-// settled entries carry non-empty Names, mirroring
-// sim.RunConfigsCtx's partial-result contract. Cells already
-// enqueued keep executing and settle into the ledger for the next
-// caller.
-func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint64, configs []core.Config) ([]sim.Metrics, error) {
+// cnt, when non-nil, is credited as the caller's own counters: a
+// cell this call enqueued counts ConfigsCompleted once it settles, a
+// cell served from the ledger or from another call's execution counts
+// ConfigsCached, and the branches and chunk batches of the chunks
+// this call enqueued are counted live by in-process workers (or
+// merged from a remote worker's completion before its cells settle).
+//
+// Every cell RunCells returns is on disk when the ledger has a Dir: a
+// failed ledger flush fails the calls waiting on the cells it held.
+//
+// On ctx cancellation the call returns at once with ctx.Err() and
+// every cell that had settled: those entries carry non-empty Names,
+// mirroring sim.RunConfigsCtx's partial-result contract. Cells
+// already enqueued keep executing and settle into the ledger for the
+// next caller.
+func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint64, configs []core.Config, cnt *obs.Counters) ([]sim.Metrics, error) {
 	out := make([]sim.Metrics, len(configs))
+	var got obs.Snapshot
+	defer func() { cnt.Merge(got) }()
 	type sub struct {
-		i int
-		w *cellWait
+		i   int
+		w   *cellWait
+		own bool // this call enqueued the cell
 	}
 	var subs []sub
 
@@ -274,6 +293,9 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 		return out, ErrShutdown
 	}
 	store, err := c.storeForLocked(digest, warmup)
+	if err == nil {
+		err = c.flushLocked(store) // retries a failed flush: ledger hits must be on disk
+	}
 	if err != nil {
 		c.mu.Unlock()
 		return out, err
@@ -285,6 +307,7 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 		if m, ok := store.Lookup(fp); ok {
 			out[i] = m
 			c.cnt.AddCached(1)
+			got.ConfigsCached++
 			continue
 		}
 		key := Key{Digest: digest, Warmup: warmup, Fingerprint: fp}.String()
@@ -294,25 +317,44 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 		}
 		w := &cellWait{done: make(chan struct{})}
 		c.cells[key] = w
-		subs = append(subs, sub{i: i, w: w})
+		subs = append(subs, sub{i: i, w: w, own: true})
 		fresh = append(fresh, cfg)
 		freshKeys = append(freshKeys, key)
 	}
 	if len(fresh) > 0 {
-		c.enqueueLocked(store, digest, warmup, fresh, freshKeys)
+		c.enqueueLocked(store, digest, warmup, fresh, freshKeys, cnt)
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
 
-	for _, s := range subs {
+	settle := func(s sub) error {
+		if s.w.err != nil {
+			return s.w.err
+		}
+		out[s.i] = s.w.m
+		if s.own {
+			got.ConfigsCompleted++
+		} else {
+			got.ConfigsCached++
+		}
+		return nil
+	}
+	for k, s := range subs {
 		select {
 		case <-ctx.Done():
+			// Keep every cell that settled before the cancel.
+			for _, r := range subs[k:] {
+				select {
+				case <-r.w.done:
+					_ = settle(r) // a failed cell just stays unsettled in the partial result
+				default:
+				}
+			}
 			return out, ctx.Err()
 		case <-s.w.done:
-			if s.w.err != nil {
-				return out, s.w.err
+			if err := settle(s); err != nil {
+				return out, err
 			}
-			out[s.i] = s.w.m
 		}
 	}
 	return out, nil
@@ -321,7 +363,7 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 // enqueueLocked chunks fresh cells by ring owner and pushes the
 // chunks onto the owners' queues (ring affinity keeps a worker's warm
 // replica cache relevant; stealing rebalances load afterwards).
-func (c *Coordinator) enqueueLocked(store *checkpoint.Store, digest [32]byte, warmup uint64, configs []core.Config, keys []string) {
+func (c *Coordinator) enqueueLocked(store *checkpoint.Store, digest [32]byte, warmup uint64, configs []core.Config, keys []string, cnt *obs.Counters) {
 	hexDigest := hex.EncodeToString(digest[:])
 	type group struct {
 		cfgs []core.Config
@@ -343,8 +385,12 @@ func (c *Coordinator) enqueueLocked(store *checkpoint.Store, digest [32]byte, wa
 	sort.Strings(order) // deterministic chunk numbering
 	for _, owner := range order {
 		g := groups[owner]
-		for lo := 0; lo < len(g.cfgs); lo += c.cfg.ChunkCells {
-			hi := min(lo+c.cfg.ChunkCells, len(g.cfgs))
+		size := c.cfg.ChunkCells
+		if size <= 0 {
+			size = len(g.cfgs)
+		}
+		for lo := 0; lo < len(g.cfgs); lo += size {
+			hi := min(lo+size, len(g.cfgs))
 			cs := &chunkState{
 				chunk: Chunk{
 					ID:      c.chunkIDLocked(),
@@ -354,6 +400,7 @@ func (c *Coordinator) enqueueLocked(store *checkpoint.Store, digest [32]byte, wa
 				},
 				store:    store,
 				routeKey: g.keys[lo],
+				cnt:      cnt,
 			}
 			c.pushLocked(owner, cs)
 		}
@@ -489,6 +536,7 @@ func (c *Coordinator) Next(ctx context.Context, workerID string) (Work, error) {
 				c.stats.Steals++
 			}
 			chunk := cs.chunk
+			chunk.Obs = cs.cnt
 			work.Chunk = &chunk
 			return work, nil
 		}
@@ -601,7 +649,26 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 	if res.Chunk>>32 != c.incarnation {
 		c.stats.StaleCompletions++
 	}
+	// Only the completion that settles a pending lease merges the
+	// worker-side simulation load (branches, batches): a duplicated
+	// delivery, or one that raced a requeue or a restart, adds
+	// nothing. Completion and cache accounting stay the coordinator's,
+	// which is what makes ConfigsCompleted the exactly-once witness.
+	// The caller's merge (skipped when an in-process worker already
+	// counted into it live) precedes the cell wake-ups below, so a
+	// RunCells caller holds its chunk's progress by the time it
+	// returns.
+	if cs, ok := c.pending[res.Chunk]; ok {
+		delete(c.pending, res.Chunk)
+		cs.settled = true
+		p := obs.Snapshot{Branches: res.Progress.Branches, Chunks: res.Progress.Chunks}
+		c.cnt.Merge(p)
+		if !res.Live {
+			cs.cnt.Merge(p)
+		}
+	}
 	accepted := 0
+	var woken []*cellWait
 	for _, cell := range res.Cells {
 		if _, ok := store.Lookup(cell.Fingerprint); ok {
 			c.stats.DupCells++
@@ -613,41 +680,32 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 		key := Key{Digest: digest, Warmup: res.Warmup, Fingerprint: cell.Fingerprint}.String()
 		if cw, ok := c.cells[key]; ok {
 			cw.m = cell.Metrics
-			close(cw.done)
+			woken = append(woken, cw)
 			delete(c.cells, key)
 		}
-		if !c.cfg.NoReplicate {
-			rep := ReplicaCell{Trace: res.Trace, Warmup: res.Warmup, Fingerprint: cell.Fingerprint, Metrics: cell.Metrics}
-			for id, ws := range c.workers {
-				if id == workerID {
-					continue // the sender computed it; its cache is already warm
-				}
-				ws.backlog = append(ws.backlog, rep)
+		rep := ReplicaCell{Trace: res.Trace, Warmup: res.Warmup, Fingerprint: cell.Fingerprint, Metrics: cell.Metrics}
+		for id, ws := range c.workers {
+			if id == workerID {
+				continue // the sender computed it
 			}
+			ws.backlog = append(ws.backlog, rep)
 		}
 	}
 	if accepted > 0 {
-		// Flush per acceptance batch: a coordinator crash then loses
-		// at most the chunks completed since the last Complete call.
-		if err := store.Flush(); err != nil {
-			c.stats.FlushErrors++
+		// Flush per acceptance batch, before any waiter wakes: a
+		// caller that sees its cells settled finds them in the BPC1
+		// file, or fails with the flush error, and a coordinator crash
+		// loses at most the chunks completed since the last Complete
+		// call.
+		if err := c.flushLocked(store); err != nil {
+			for _, cw := range woken {
+				cw.err = err
+			}
 		}
 		c.cond.Broadcast() // replica backlogs may now unblock idle pulls
 	}
-	if !c.seen[res.Chunk] {
-		c.seen[res.Chunk] = true
-		// Merge only the worker-side simulation load (branches,
-		// batches): completion and cache accounting is the
-		// coordinator's, and keeping it here is what makes
-		// ConfigsCompleted the exactly-once witness.
-		p := res.Progress
-		p.ConfigsCompleted, p.ConfigsCached, p.ConfigsFailed = 0, 0, 0
-		p.TiersCompleted, p.TierTime, p.Elapsed = 0, 0, 0
-		c.cnt.Merge(p)
-	}
-	if cs, ok := c.pending[res.Chunk]; ok {
-		delete(c.pending, res.Chunk)
-		cs.settled = true
+	for _, cw := range woken {
+		close(cw.done)
 	}
 	if res.Err != "" {
 		failErr := fmt.Errorf("cluster: chunk %d failed: %s", res.Chunk, res.Err)
@@ -659,6 +717,16 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 				delete(c.cells, key)
 			}
 		}
+	}
+	return nil
+}
+
+// flushLocked writes a ledger's unflushed cells to its BPC1 file (a
+// no-op when none are pending), counting a failure.
+func (c *Coordinator) flushLocked(store *checkpoint.Store) error {
+	if err := store.Flush(); err != nil {
+		c.stats.FlushErrors++
+		return fmt.Errorf("cluster: ledger: %w", err)
 	}
 	return nil
 }

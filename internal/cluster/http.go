@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,8 +23,8 @@ import (
 // in with HTTPClient + RemoteTraces, and Next long-polls so no
 // inbound connectivity to workers is ever needed.
 
-// TraceOpener serves raw BPT1 bytes so workers can replicate traces;
-// the service's TraceStore satisfies it.
+// TraceOpener serves a stored trace's canonical BPT2 bytes so workers
+// can replicate it; the service's TraceStore satisfies it.
 type TraceOpener interface {
 	Open(digest string) (io.ReadCloser, error)
 }
@@ -49,7 +50,7 @@ const maxPollWait = time.Minute
 //	POST /join              {"worker": id}
 //	POST /next              {"worker": id, "wait_ms": n} -> Work (empty on poll timeout)
 //	POST /complete          {"worker": id, "result": ChunkResult}
-//	GET  /trace/{digest}    raw BPT1 stream
+//	GET  /trace/{digest}    canonical BPT2 stream
 //
 // Coordinator errors map onto statuses the client folds back into
 // sentinel errors: 404 -> ErrUnknownWorker, 503 -> ErrShutdown.
@@ -254,10 +255,16 @@ func (h *HTTPClient) post(ctx context.Context, path string, in, out any) error {
 	}
 }
 
+// remoteTraceCap bounds RemoteTraces' decoded cache. A worker runs one
+// chunk at a time and a sweep replays one trace for all its chunks, so
+// a few entries hold the working set; past the cap the oldest fetch is
+// dropped.
+const remoteTraceCap = 4
+
 // RemoteTraces fetches traces from the coordinator's /trace endpoint,
-// verifies the content digest, and caches the decoded trace for the
-// process lifetime (a worker replays the same trace for every chunk
-// of a sweep).
+// verifies the content digest, and caches the last remoteTraceCap
+// decoded traces (a worker replays the same trace for every chunk of
+// a sweep).
 type RemoteTraces struct {
 	// Base is the coordinator's cluster API prefix.
 	Base string
@@ -269,6 +276,7 @@ type RemoteTraces struct {
 
 	mu    sync.Mutex
 	cache map[string]*trace.Trace //bplint:guardedby mu
+	order []string                //bplint:guardedby mu // cached digests, oldest first
 }
 
 // Trace implements TraceProvider. ctx cancels the download and the
@@ -311,10 +319,17 @@ func (p *RemoteTraces) Trace(ctx context.Context, digest string) (*trace.Trace, 
 		return nil, fmt.Errorf("cluster: trace %s: content digest mismatch", digest)
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.cache == nil {
 		p.cache = make(map[string]*trace.Trace)
 	}
-	p.cache[digest] = tr
-	p.mu.Unlock()
+	if _, ok := p.cache[digest]; !ok {
+		p.cache[digest] = tr
+		p.order = append(p.order, digest)
+		if len(p.order) > remoteTraceCap {
+			delete(p.cache, p.order[0])
+			p.order = slices.Delete(p.order, 0, 1)
+		}
+	}
 	return tr, nil
 }

@@ -12,10 +12,9 @@ import (
 
 // Key identifies one sweep cell fleet-wide: the (trace digest,
 // warmup, configuration fingerprint) triple that also keys the BPC1
-// checkpoint cache. Key.String is the canonical wire form and is
-// byte-identical to the service layer's single-flight cell key, so a
-// cell claimed in-process and a cell routed across the cluster share
-// one identity.
+// checkpoint cache. Key.String is the canonical wire form and the
+// coordinator's single-flight key, so one cell key addresses one
+// ledger slot.
 type Key struct {
 	Digest      [32]byte
 	Warmup      uint64

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
-	"bpred/internal/checkpoint"
 	"bpred/internal/core"
 	"bpred/internal/obs"
 	"bpred/internal/sim"
@@ -28,9 +28,11 @@ type WorkerStats struct {
 }
 
 // Worker pulls chunks from a coordinator, runs the simulation
-// kernels, and reports results. Per-(trace, warmup) in-memory BPC1
-// stores — warmed by piggybacked replication — let it answer a chunk
-// whose cells were already settled elsewhere without re-simulating.
+// kernels, and reports results. An in-memory replica cache — warmed
+// only by piggybacked replication of cells other workers computed —
+// lets it answer a chunk whose cells were already settled elsewhere
+// without re-simulating. Cells it computes itself live in the
+// coordinator's ledger alone.
 type Worker struct {
 	id     string
 	client CoordinatorClient
@@ -46,9 +48,9 @@ type Worker struct {
 	// to stop a worker.
 	RetryDelay time.Duration
 
-	mu     sync.Mutex
-	stores map[string]*checkpoint.Store //bplint:guardedby mu // "digest|warmup" -> replica cache
-	stats  WorkerStats                  //bplint:guardedby mu
+	mu       sync.Mutex
+	replicas map[string]sim.Metrics //bplint:guardedby mu // cell key (Key.String form) -> replicated metrics
+	stats    WorkerStats            //bplint:guardedby mu
 
 	// hookChunk, when set, runs before each chunk executes; the chaos
 	// harness uses it to kill a worker mid-chunk at a deterministic
@@ -60,10 +62,10 @@ type Worker struct {
 // is the worker's ring identity.
 func NewWorker(id string, client CoordinatorClient, traces TraceProvider) *Worker {
 	return &Worker{
-		id:     id,
-		client: client,
-		traces: traces,
-		stores: make(map[string]*checkpoint.Store),
+		id:       id,
+		client:   client,
+		traces:   traces,
+		replicas: make(map[string]sim.Metrics),
 	}
 }
 
@@ -80,7 +82,10 @@ func (w *Worker) Stats() WorkerStats {
 // Run joins the coordinator and serves chunks until ctx ends; it
 // returns ctx's error (a worker has no other way to finish). A chunk
 // interrupted by the cancellation is dropped unreported — the
-// coordinator re-queues it via WorkerLeave or lease expiry.
+// coordinator re-queues it via WorkerLeave or lease expiry. Run may
+// be called from several goroutines at once: each is one pull loop
+// under the worker's one fleet identity, so one node runs that many
+// chunks in parallel.
 func (w *Worker) Run(ctx context.Context) error {
 	joined := false
 	for {
@@ -138,10 +143,10 @@ func (w *Worker) sleep(ctx context.Context) {
 }
 
 // execute runs one chunk: cells present in the local replica cache
-// are answered directly, the rest go through sim.RunConfigsCtx in one
-// call (so one chunk-shared pass per worker serves the whole slab). It
-// returns nil when ctx was canceled mid-chunk — the partial work is
-// dropped and the chunk stays the coordinator's to re-queue.
+// are answered directly, the rest go through one simulate call (so
+// one chunk-shared pass per worker serves the whole slab). It returns
+// nil when ctx was canceled mid-chunk — the partial work is dropped
+// and the chunk stays the coordinator's to re-queue.
 func (w *Worker) execute(ctx context.Context, ch *Chunk) *ChunkResult {
 	if w.hookChunk != nil {
 		w.hookChunk(ctx, ch)
@@ -155,32 +160,27 @@ func (w *Worker) execute(ctx context.Context, ch *Chunk) *ChunkResult {
 		}
 		return res
 	}
-	store, err := w.storeFor(ch.Trace, ch.Warmup)
-	if err != nil {
-		return fail(err)
-	}
 	var missing []core.Config
 	local := 0
+	w.mu.Lock()
 	for _, cfg := range ch.Configs {
 		fp := cfg.Fingerprint()
-		if m, ok := store.Lookup(fp); ok {
+		if m, ok := w.replicas[replicaKey(ch.Trace, ch.Warmup, fp)]; ok {
 			res.Cells = append(res.Cells, CellResult{Fingerprint: fp, Metrics: m})
 			local++
 			continue
 		}
 		missing = append(missing, cfg)
 	}
+	w.mu.Unlock()
 	computed := 0
 	if len(missing) > 0 {
-		tr, err := w.traces.Trace(ctx, ch.Trace)
-		if err != nil {
-			return fail(fmt.Errorf("cluster: worker %s: trace %s: %w", w.id, ch.Trace, err))
-		}
 		opt := w.SimTemplate
 		var cnt obs.Counters
+		cnt.Tee(ch.Obs)
 		opt.Warmup = int(ch.Warmup)
 		opt.Obs = &cnt
-		ms, err := sim.RunConfigsCtx(ctx, missing, tr, opt)
+		ms, err := w.simulate(ctx, ch.Trace, missing, opt)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -188,12 +188,11 @@ func (w *Worker) execute(ctx context.Context, ch *Chunk) *ChunkResult {
 			return fail(err)
 		}
 		for i, cfg := range missing {
-			fp := cfg.Fingerprint()
-			store.Add(fp, ms[i])
-			res.Cells = append(res.Cells, CellResult{Fingerprint: fp, Metrics: ms[i]})
+			res.Cells = append(res.Cells, CellResult{Fingerprint: cfg.Fingerprint(), Metrics: ms[i]})
 		}
 		computed = len(missing)
 		res.Progress = cnt.Snapshot()
+		res.Live = ch.Obs != nil
 	}
 	w.mu.Lock()
 	w.stats.ChunksRun++
@@ -203,37 +202,55 @@ func (w *Worker) execute(ctx context.Context, ch *Chunk) *ChunkResult {
 	return res
 }
 
-// install folds pushed replicas into the local caches.
-func (w *Worker) install(reps []ReplicaCell) {
-	for _, r := range reps {
-		store, err := w.storeFor(r.Trace, r.Warmup)
+// simulate runs configs over one trace in a single pass. A
+// StreamProvider that streams the trace yields a fresh BPT2 reader, so
+// a trace past its stream cutoff is never resident; any other trace is
+// decoded through the provider.
+func (w *Worker) simulate(ctx context.Context, digest string, configs []core.Config, opt sim.Options) ([]sim.Metrics, error) {
+	if sp, ok := w.traces.(StreamProvider); ok {
+		fr, err := sp.OpenStream(digest)
 		if err != nil {
-			continue // malformed push; replication is best-effort
+			return nil, fmt.Errorf("cluster: worker %s: trace %s: %w", w.id, digest, err)
 		}
-		if _, ok := store.Lookup(r.Fingerprint); ok {
+		if fr != nil {
+			ms, err := sim.RunConfigsStream(ctx, configs, fr, opt)
+			if cerr := fr.Close(); err == nil {
+				err = cerr
+			}
+			return ms, err
+		}
+	}
+	tr, err := w.traces.Trace(ctx, digest)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: worker %s: trace %s: %w", w.id, digest, err)
+	}
+	return sim.RunConfigsCtx(ctx, configs, tr, opt)
+}
+
+// ReplicaCells returns the number of cells the worker's replica cache
+// holds.
+func (w *Worker) ReplicaCells() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.replicas)
+}
+
+// install folds pushed replicas into the replica cache.
+func (w *Worker) install(reps []ReplicaCell) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, r := range reps {
+		k := replicaKey(r.Trace, r.Warmup, r.Fingerprint)
+		if _, ok := w.replicas[k]; ok {
 			continue
 		}
-		store.Add(r.Fingerprint, r.Metrics)
-		w.mu.Lock()
+		w.replicas[k] = r.Metrics
 		w.stats.ReplicasInstalled++
-		w.mu.Unlock()
 	}
 }
 
-// storeFor returns the in-memory replica cache for one (trace,
-// warmup) binding.
-func (w *Worker) storeFor(hexDigest string, warmup uint64) (*checkpoint.Store, error) {
-	digest, err := parseDigest(hexDigest)
-	if err != nil {
-		return nil, err
-	}
-	key := hexDigest + "|" + fmt.Sprint(warmup)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if s, ok := w.stores[key]; ok {
-		return s, nil
-	}
-	s := checkpoint.NewMemory(digest, warmup)
-	w.stores[key] = s
-	return s, nil
+// replicaKey renders a cell's identity in Key.String form from its
+// wire fields.
+func replicaKey(hexDigest string, warmup uint64, fp string) string {
+	return hexDigest + "|" + strconv.FormatUint(warmup, 10) + "|" + fp
 }

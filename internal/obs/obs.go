@@ -37,7 +37,19 @@ type Counters struct {
 	// by Start) and anchors Snapshot.Elapsed. Zero means unanchored,
 	// so Reset can rearm it.
 	start atomic.Int64
+
+	// tee, set by Tee before the counters are shared, receives a copy
+	// of every count recorded here.
+	tee *Counters
 }
+
+// Tee makes c forward every count it records from now on to dst as
+// well, so a producer can keep its own tally while feeding a shared
+// live set (a cluster worker tallies a chunk for its completion
+// report and counts it into the submitting job's progress as it
+// runs). Call it before c is shared; a nil dst forwards nothing.
+// Reset is not forwarded, and dst must not tee back to c.
+func (c *Counters) Tee(dst *Counters) { c.tee = dst }
 
 // Start anchors the elapsed-time clock; producers also do this
 // implicitly on first touch. Only the first call after creation (or
@@ -77,6 +89,7 @@ func (c *Counters) AddChunk(n uint64) {
 	c.Start()
 	c.chunks.Add(1)
 	c.branches.Add(n)
+	c.tee.AddChunk(n)
 }
 
 // AddCompleted records n configurations finishing simulation.
@@ -86,6 +99,7 @@ func (c *Counters) AddCompleted(n uint64) {
 	}
 	c.Start()
 	c.completed.Add(n)
+	c.tee.AddCompleted(n)
 }
 
 // AddCached records n configurations satisfied from a checkpoint
@@ -96,6 +110,7 @@ func (c *Counters) AddCached(n uint64) {
 	}
 	c.Start()
 	c.cached.Add(n)
+	c.tee.AddCached(n)
 }
 
 // AddFailed records n configurations that failed to build or run.
@@ -105,6 +120,7 @@ func (c *Counters) AddFailed(n uint64) {
 	}
 	c.Start()
 	c.failed.Add(n)
+	c.tee.AddFailed(n)
 }
 
 // TierDone records one completed sweep tier and its wall time.
@@ -115,6 +131,7 @@ func (c *Counters) TierDone(d time.Duration) {
 	c.Start()
 	c.tiers.Add(1)
 	c.tierNanos.Add(int64(d))
+	c.tee.TierDone(d)
 }
 
 // TierTimer starts a stopwatch for one sweep tier; the returned stop
@@ -181,6 +198,7 @@ func (c *Counters) Merge(s Snapshot) {
 	c.failed.Add(s.ConfigsFailed)
 	c.tiers.Add(s.TiersCompleted)
 	c.tierNanos.Add(int64(s.TierTime))
+	c.tee.Merge(s)
 }
 
 // Snapshot returns the current counter values. A nil receiver yields

@@ -301,3 +301,31 @@ func TestPublishedSortedAndStable(t *testing.T) {
 		t.Errorf("rebound set reads %d branches, want 99", again[0].Branches)
 	}
 }
+
+// TestTeeForwardsCounts checks that a teed set records every count
+// itself and forwards it, and that Reset stays local.
+func TestTeeForwardsCounts(t *testing.T) {
+	var own, live Counters
+	own.Tee(&live)
+	own.AddChunk(100)
+	own.AddCompleted(2)
+	own.AddCached(3)
+	own.AddFailed(1)
+	own.TierDone(time.Second)
+	own.Merge(Snapshot{Branches: 5, Chunks: 1})
+	want := Snapshot{Branches: 105, Chunks: 2, ConfigsCompleted: 2, ConfigsCached: 3, ConfigsFailed: 1, TiersCompleted: 1, TierTime: time.Second}
+	for name, c := range map[string]*Counters{"own": &own, "live": &live} {
+		got := c.Snapshot()
+		got.Elapsed = 0
+		if got != want {
+			t.Fatalf("%s = %+v, want %+v", name, got, want)
+		}
+	}
+	own.Reset()
+	if got := live.Snapshot().Branches; got != 105 {
+		t.Fatalf("Reset reached the tee: live Branches = %d", got)
+	}
+	var untee Counters
+	untee.Tee(nil)
+	untee.AddChunk(1) // a nil tee forwards nothing
+}

@@ -4,12 +4,15 @@
 // the same SHA-256 content digest the checkpoint layer uses; sweep
 // jobs run on a bounded worker pool with queue-full backpressure
 // (429 + Retry-After); identical jobs collapse onto one execution via
-// job-level dedup, overlapping ones onto one kernel execution per
-// cell via cell-level single-flight in front of the shared BPC1
-// result cache; and a drain path stops running jobs at the next chunk
-// boundary, flushes checkpoints, and persists the job table so a
-// restarted server resumes or serves completed results. DESIGN.md §9
-// documents the architecture and the API.
+// job-level dedup. Every manager is a one-node cluster: it owns a
+// cluster.Coordinator, whose BPC1 ledger under <data>/checkpoints is
+// the one cell-level single-flight and result cache, plus one
+// embedded in-process cluster.Worker that runs the kernels on one
+// pull loop per job worker (more workers may join over the cluster
+// transport). A drain stops running jobs and the worker, flushes the
+// ledger, and persists the job table so a restarted server resumes
+// or serves completed results. DESIGN.md §9 documents the
+// architecture and the API.
 package service
 
 import (
@@ -23,7 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bpred/internal/checkpoint"
+	"bpred/internal/cluster"
 	"bpred/internal/core"
 	"bpred/internal/obs"
 	"bpred/internal/sweep"
@@ -162,7 +165,9 @@ type Config struct {
 	// DataDir roots all persistence: traces/, checkpoints/, results/,
 	// and jobs.json live under it.
 	DataDir string
-	// Workers is the sweep worker pool size (0 = 2).
+	// Workers is the sweep worker pool size (0 = 2): that many jobs
+	// run at once, and the embedded cluster worker runs that many
+	// pull loops, so their tiers simulate in parallel.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker
 	// (0 = 64). A full queue is the 429 backpressure boundary.
@@ -191,13 +196,15 @@ type Config struct {
 	// (0 = 2s).
 	RetryAfter time.Duration
 	// PublishName is the obs registry name for the manager's global
-	// counters (0 = "bpserved"). Tests running several managers in
+	// counters (0 = "bpserved"); the coordinator's counters publish
+	// as PublishName + "-cluster". Tests running several managers in
 	// one process give each a distinct name.
 	PublishName string
-	// Scheduler selects where cells execute: nil/LocalScheduler runs
-	// them in-process, ClusterScheduler routes them to a coordinator
-	// fleet.
-	Scheduler Scheduler
+	// ClusterLease re-queues a chunk dispatched to a worker that has
+	// not completed it within the lease (cluster.Config.LeaseTimeout).
+	// Zero disables the reaper, which suits the embedded worker alone:
+	// it cannot go silent without the process.
+	ClusterLease time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -220,25 +227,25 @@ func (c Config) withDefaults() Config {
 }
 
 // Manager owns the service's state: the trace store, the job table,
-// the worker pool, the cell flight table, and the per-(trace, warmup)
-// checkpoint store registry.
+// the job worker pool, and the one-node cluster — the coordinator
+// that schedules and settles cells, and the embedded worker that
+// simulates them.
 type Manager struct {
 	cfg     Config
 	traces  *TraceStore
-	flights *flightGroup
+	coord   *cluster.Coordinator
+	local   *cluster.Worker // the embedded worker
 	global  *obs.Counters
-	sched   Scheduler
 	started time.Time
 
 	ctx  context.Context // manager lifetime; canceled by Drain
 	stop context.CancelFunc
 
-	mu     sync.Mutex
-	jobs   map[string]*Job              //bplint:guardedby mu
-	order  []string                     //bplint:guardedby mu // submission order, for deterministic listings
-	byKey  map[string]*Job              //bplint:guardedby mu
-	seq    uint64                       //bplint:guardedby mu
-	stores map[string]*checkpoint.Store //bplint:guardedby mu // digest|warmup -> shared store
+	mu    sync.Mutex
+	jobs  map[string]*Job //bplint:guardedby mu
+	order []string        //bplint:guardedby mu // submission order, for deterministic listings
+	byKey map[string]*Job //bplint:guardedby mu
+	seq   uint64          //bplint:guardedby mu
 
 	queue    chan *Job
 	wg       sync.WaitGroup
@@ -254,8 +261,9 @@ type Manager struct {
 }
 
 // NewManager opens the data directory, reloads persisted traces and
-// jobs, republishes global counters, starts the worker pool, and
-// re-enqueues every job the previous process did not finish.
+// jobs, republishes global counters, starts the coordinator, its
+// embedded worker and the job worker pool, and re-enqueues every job
+// the previous process did not finish.
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
@@ -272,22 +280,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	ctx, stop := context.WithCancel(context.Background())
-	sched := cfg.Scheduler
-	if sched == nil {
-		sched = LocalScheduler{}
-	}
 	m := &Manager{
 		cfg:     cfg,
 		traces:  traces,
-		flights: newFlightGroup(),
 		global:  &obs.Counters{},
-		sched:   sched,
 		started: obs.Now(),
 		ctx:     ctx,
 		stop:    stop,
 		jobs:    make(map[string]*Job),
 		byKey:   make(map[string]*Job),
-		stores:  make(map[string]*checkpoint.Store),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		drainCh: make(chan struct{}),
 	}
@@ -297,8 +298,24 @@ func NewManager(cfg Config) (*Manager, error) {
 		stop()
 		return nil, err
 	}
+	// The ledger lives where bpsweep -resume and the CLI golden tests
+	// read BPC1 files, so there is one file per (trace, warmup).
+	m.coord = cluster.NewCoordinator(cluster.Config{
+		Dir:          filepath.Join(cfg.DataDir, "checkpoints"),
+		LeaseTimeout: cfg.ClusterLease,
+		PublishName:  cfg.PublishName + "-cluster",
+	})
+	m.local = cluster.NewWorker(localWorkerID, m.coord, traces)
 	for i := 0; i < cfg.Workers; i++ {
-		m.wg.Add(1)
+		// One pull loop per job worker, so concurrent jobs' tiers
+		// simulate in parallel. Run returns only when a drain cancels
+		// m.ctx; the chunk it was running stops at its next trace
+		// chunk and is dropped.
+		m.wg.Add(2)
+		go func() {
+			defer m.wg.Done()
+			_ = m.local.Run(m.ctx)
+		}()
 		go m.worker()
 	}
 	// Re-enqueue jobs the previous process left queued, running, or
@@ -319,8 +336,15 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
+// localWorkerID is the embedded worker's fleet identity.
+const localWorkerID = "local"
+
 // Traces exposes the trace store.
 func (m *Manager) Traces() *TraceStore { return m.traces }
+
+// Coordinator exposes the manager's cluster coordinator, for mounting
+// the cluster transport (cluster.Handler) so remote workers can join.
+func (m *Manager) Coordinator() *cluster.Coordinator { return m.coord }
 
 // Global returns the manager's process-global counters.
 func (m *Manager) Global() *obs.Counters { return m.global }
@@ -329,26 +353,6 @@ func (m *Manager) Global() *obs.Counters { return m.global }
 // closed when it does, so streaming handlers can unblock.
 func (m *Manager) Draining() (bool, <-chan struct{}) {
 	return m.draining.Load(), m.drainCh
-}
-
-// storeFor returns the singleton checkpoint store for one (trace
-// digest, warmup) binding. All jobs over the same binding share one
-// Store: concurrent writers to the same BPC1 path through separate
-// Stores would overwrite each other's flushes (last rename wins).
-func (m *Manager) storeFor(digest [32]byte, warmup int) (*checkpoint.Store, error) {
-	key := fmt.Sprintf("%x|%d", digest[:], warmup)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.stores[key]; ok {
-		return s, nil
-	}
-	path := checkpoint.PathFor(filepath.Join(m.cfg.DataDir, "checkpoints"), digest, uint64(warmup))
-	s, err := checkpoint.Open(path, digest, uint64(warmup))
-	if err != nil {
-		return nil, err
-	}
-	m.stores[key] = s
-	return s, nil
 }
 
 // Submit validates the spec and either enqueues a new job or dedups
@@ -499,10 +503,10 @@ func (m *Manager) jobCountsByState() map[State]int {
 }
 
 // Cancel cancels a job. A queued job turns canceled immediately; a
-// running one is interrupted at its next chunk boundary and keeps the
-// partial-result contract (every completed cell stays available, in
-// the result payload and in the checkpoint cache). Canceling a
-// terminal job is a no-op.
+// running one returns at once and keeps the partial-result contract
+// (every settled cell stays available, in the result payload and in
+// the ledger). A tier already dispatched to the worker still finishes
+// there and lands in the ledger. Canceling a terminal job is a no-op.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	return m.CancelFor(id, "")
 }
@@ -594,11 +598,12 @@ func (m *Manager) worker() {
 
 // Drain shuts the manager down gracefully: new submissions are
 // refused, every queued job is marked interrupted, every running job
-// is canceled (its executor stops at the next chunk boundary and
-// keeps completed cells), checkpoints are flushed, and the job table
-// is persisted. Jobs left interrupted resume under the next manager
-// over the same data directory. Drain is idempotent; ctx bounds the
-// wait for workers.
+// is canceled (it returns at once and keeps its settled cells), the
+// embedded worker's pull loops stop at their next trace chunk, the
+// coordinator flushes the ledger, and the job table is persisted.
+// Jobs left interrupted resume under the next manager over the same
+// data directory. Drain is idempotent; ctx bounds the wait for
+// workers.
 func (m *Manager) Drain(ctx context.Context) error {
 	if !m.draining.CompareAndSwap(false, true) {
 		<-m.drainCh
@@ -616,8 +621,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 		}
 		j.mu.Unlock()
 	}
-	// Every job context derives from m.ctx, so one stop cancels all
-	// running executors at their next chunk boundary.
+	// Every job context and the embedded worker's derive from m.ctx,
+	// so one stop cancels them all.
 	m.stop()
 
 	done := make(chan struct{})
@@ -643,14 +648,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		}
 	}
 drained:
-	var firstErr error
-	m.mu.Lock()
-	for _, s := range m.stores {
-		if err := s.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	m.mu.Unlock()
+	firstErr := m.coord.Stop()
 	if err := m.persistJobs(); err != nil && firstErr == nil {
 		firstErr = err
 	}

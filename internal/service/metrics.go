@@ -12,9 +12,10 @@ import (
 
 // handleMetrics renders Prometheus text exposition format. Output
 // order is deterministic: service gauges first (fixed order, states
-// sorted), then every obs-published counter set sorted by name with a
-// fixed field order — so tests can compare runs textually and
-// scrapers never see metrics flap in and out.
+// sorted), then the coordinator's counters, then every obs-published
+// counter set sorted by name with a fixed field order — so tests can
+// compare runs textually and scrapers never see metrics flap in and
+// out.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	m := s.m
@@ -48,8 +49,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetricHeader(&b, "bpserved_traces", "gauge", "Traces in the store.")
 	fmt.Fprintf(&b, "bpserved_traces %d\n", m.Traces().Len())
 
-	writeMetricHeader(&b, "bpserved_cells_in_flight", "gauge", "Sweep cells currently claimed by an executing job.")
-	fmt.Fprintf(&b, "bpserved_cells_in_flight %d\n", m.flights.inFlight())
+	writeMetricHeader(&b, "bpserved_cells_in_flight", "gauge", "Sweep cells dispatched to the worker fleet and not yet settled.")
+	fmt.Fprintf(&b, "bpserved_cells_in_flight %d\n", m.coord.CellsInFlight())
+
+	// The coordinator's scheduling counters (cluster.Stats), one
+	// series per field.
+	st := m.coord.Stats()
+	for _, cm := range []struct {
+		name, help string
+		value      uint64
+	}{
+		{"bpcluster_chunks_dispatched_total", "Chunks handed to workers.", st.ChunksDispatched},
+		{"bpcluster_steals_total", "Chunks a worker pulled from a peer's queue.", st.Steals},
+		{"bpcluster_requeues_total", "Chunks re-queued after worker death or lease expiry.", st.Requeues},
+		{"bpcluster_dup_cells_total", "Completed cells dropped because the ledger had already settled them.", st.DupCells},
+		{"bpcluster_replicas_sent_total", "Settled cells pushed to workers on their next pull.", st.ReplicasSent},
+		{"bpcluster_flush_errors_total", "Ledger checkpoint flushes that failed.", st.FlushErrors},
+		{"bpcluster_stale_completions_total", "Completions tagged with another coordinator incarnation.", st.StaleCompletions},
+	} {
+		writeMetricHeader(&b, cm.name, "counter", cm.help)
+		fmt.Fprintf(&b, "%s %d\n", cm.name, cm.value)
+	}
 
 	// Published counter sets (the manager's global set plus anything
 	// else the process registered, e.g. embedded sweep runs). The

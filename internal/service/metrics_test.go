@@ -3,9 +3,13 @@ package service
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
+
+	"bpred/internal/cluster"
 )
 
 var (
@@ -112,4 +116,52 @@ func TestMetricsDeterministic(t *testing.T) {
 			t.Fatalf("scrape shape differs at line %d: %q vs %q", i, a[i], b[i])
 		}
 	}
+}
+
+// TestMetricsExportClusterStats guards the coordinator's scheduling
+// counters against going dark: every cluster.Stats field must render
+// as a bpcluster_<snake_case>_total counter, and the series must carry
+// the live value.
+func TestMetricsExportClusterStats(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	info := upload(t, ts, encodeBPT1(t, genTrace(t, 2000, 22)))
+	ack, _ := submit(t, ts, JobSpec{Trace: info.Digest, Scheme: "gshare", Tiers: []int{4}})
+	waitTerminal(t, ts, ack.ID)
+
+	typed := map[string]bool{}
+	samples := map[string]bool{}
+	for _, line := range scrape(t, ts.URL) {
+		if m := typeLine.FindStringSubmatch(line); m != nil {
+			typed[m[1]] = m[2] == "counter"
+		}
+		samples[line] = true
+	}
+	st := reflect.TypeOf(cluster.Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		field := st.Field(i).Name
+		name := "bpcluster_" + snakeCase(field) + "_total"
+		if !typed[name] {
+			t.Errorf("cluster.Stats.%s has no /metrics counter %s", field, name)
+		}
+	}
+	// One single-tier job on a lone embedded worker is one chunk.
+	if !samples["bpcluster_chunks_dispatched_total 1"] {
+		t.Error("bpcluster_chunks_dispatched_total does not read the coordinator's 1 dispatched chunk")
+	}
+}
+
+// snakeCase maps a Go field name onto its metric spelling
+// (ChunksDispatched -> chunks_dispatched).
+func snakeCase(s string) string {
+	var b strings.Builder
+	for i, r := range s {
+		if unicode.IsUpper(r) {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
 }

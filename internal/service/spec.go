@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"bpred/internal/cluster"
 	"bpred/internal/core"
 	"bpred/internal/sim"
 	"bpred/internal/sweep"
@@ -225,14 +224,6 @@ func jobKey(digest [32]byte, warmup int, configs []core.Config) string {
 		h.Write([]byte(fp))
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// cellKey is the single-flight identity of one simulation cell. It
-// matches the checkpoint layer's addressing: the store file is bound
-// to (digest, warmup) and its entries to the config fingerprint, so
-// one cell key ⇔ one BPC1 cache slot.
-func cellKey(digest [32]byte, warmup int, fp string) string {
-	return cluster.Key{Digest: digest, Warmup: uint64(warmup), Fingerprint: fp}.String()
 }
 
 // AliasResult is the aliasing taxonomy of one metered cell. The

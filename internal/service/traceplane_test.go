@@ -75,8 +75,11 @@ func TestTraceCacheLRUBoundAndPinning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if h0.Streaming() || h0.Decoded() == nil {
+	if !h0.pinned || st.pins(digests[0]) != 1 {
 		t.Fatalf("small trace came back streaming")
+	}
+	if fr, err := st.OpenStream(digests[0]); fr != nil || err != nil {
+		t.Fatalf("OpenStream on a trace under the cutoff = %v, %v; want nil, nil", fr, err)
 	}
 	for round := 0; round < 3; round++ {
 		for _, d := range digests[1:] {
@@ -128,7 +131,7 @@ func TestTraceCacheLRUBoundAndPinning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if !hs.Streaming() || hs.Decoded() != nil {
+	if hs.pinned {
 		t.Fatalf("trace over the stream cutoff not streaming")
 	}
 	if got := st2.Resident(); got != 0 {

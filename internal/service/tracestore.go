@@ -489,20 +489,12 @@ func (s *TraceStore) pins(digest string) int {
 type TraceHandle struct {
 	s        *TraceStore
 	info     TraceInfo
-	tr       *trace.Trace
 	pinned   bool
 	released bool //bplint:guardedby s.mu
 }
 
 // Info returns the trace's metadata.
 func (h *TraceHandle) Info() TraceInfo { return h.info }
-
-// Streaming reports whether the trace executes from streamed blocks
-// rather than a resident decode.
-func (h *TraceHandle) Streaming() bool { return h.tr == nil }
-
-// Decoded returns the resident trace, or nil for streaming handles.
-func (h *TraceHandle) Decoded() *trace.Trace { return h.tr }
 
 // OpenStream opens a fresh block reader over the backing file. Each
 // sweep tier opens its own pass; the caller owns Close.
@@ -541,26 +533,49 @@ func (s *TraceStore) Acquire(digest string) (*TraceHandle, error) {
 	if !ok {
 		return nil, ErrNoTrace
 	}
-	if info.Branches > s.streamBranches {
+	if s.streams(info) {
 		return &TraceHandle{s: s, info: info}, nil
 	}
-	t, err := s.load(digest, true)
-	if err != nil {
+	if _, err := s.load(digest, true); err != nil {
 		return nil, err
 	}
-	return &TraceHandle{s: s, info: info, tr: t, pinned: true}, nil
+	return &TraceHandle{s: s, info: info, pinned: true}, nil
 }
+
+// streams reports whether a trace runs from streamed BPT2 blocks (more
+// records than the stream cutoff) rather than a resident decode.
+func (s *TraceStore) streams(info TraceInfo) bool { return info.Branches > s.streamBranches }
 
 // Trace returns the decoded trace for a digest, loading (and digest-
 // verifying) the persisted file on first use after a restart. It is
-// the cluster.TraceProvider surface for an embedded worker, which
-// needs the full decode; the LRU manages the entry, unpinned. The
+// the cluster.TraceProvider surface for the embedded worker, which
+// calls it only for traces at or under the stream cutoff; the LRU
+// manages the entry, unpinned (the job's Acquire holds the pin). The
 // local file decode is fast enough that ctx only gates entry.
 func (s *TraceStore) Trace(ctx context.Context, digest string) (*trace.Trace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return s.load(digest, false)
+}
+
+// OpenStream opens a fresh block reader over a trace past the stream
+// cutoff and returns nil for one at or under it, which runs from the
+// decoded LRU through Trace instead — Acquire's decode-or-stream
+// choice, made for the embedded worker (cluster.StreamProvider). The
+// caller owns Close.
+func (s *TraceStore) OpenStream(digest string) (*trace.FileReader, error) {
+	s.mu.Lock()
+	info, ok := s.infos[digest]
+	path := s.tracePathLocked(digest)
+	s.mu.Unlock()
+	if !ok {
+		return nil, ErrNoTrace
+	}
+	if !s.streams(info) {
+		return nil, nil
+	}
+	return trace.OpenFile(path)
 }
 
 // load returns the digest's decoded trace through the LRU, decoding
