@@ -83,19 +83,22 @@ bench-short:
 # bench-sim measures the simulation engine (generic vs batched
 # kernels per scheme, one multi-config gshare sweep, the per-tier
 # gshare sweep of the Figure-4 benchmark workload, and one tier-8
-# sweep per modern family) and the trace plane under a streamed sweep
-# (upload ingest, BPT2 decode, streamed gshare sweep), and records the
-# results as BENCH_sim.json
-# so the perf trajectory is tracked across PRs.
-BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepTiers|BenchmarkSweepModern|BenchmarkTracePlane
+# sweep per modern family), the trace plane under a streamed sweep
+# (upload ingest, BPT2 decode, streamed gshare sweep), the BPC1 ledger
+# of the Figure-4 workload (flush, lookup) and job-spec expansion, and
+# records the results as BENCH_sim.json so the perf trajectory is
+# tracked across PRs. Each series runs five times; benchjson writes
+# its median and quartiles.
+BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepTiers|BenchmarkSweepModern|BenchmarkTracePlane|BenchmarkLedger|BenchmarkJobSpec
 
 bench-sim:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count 5 . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # bench-check is the perf-regression gate: rerun the tracked
-# benchmarks and fail if any MB/s figure dropped more than BENCH_TOL
-# percent below the checked-in BENCH_sim.json. BENCH_TIME can be
+# benchmarks and fail if any series' speed (MB/s, or ops/s for a
+# benchmark that sets no bytes) dropped more than BENCH_TOL percent
+# below its median in the checked-in BENCH_sim.json. BENCH_TIME can be
 # shortened for smoke-level CI runs (noisier, hence the wide default
 # tolerance there — see .github/workflows/ci.yml).
 BENCH_TOL ?= 15
@@ -175,6 +178,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiffPerceptron -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffTournament -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzStreamEquivalence -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 10s ./internal/core/
 
 # diff-fuzz differentially fuzzes every scheme family against the

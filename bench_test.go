@@ -25,7 +25,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"bpred/internal/checkpoint"
 	"bpred/internal/core"
 	"bpred/internal/experiments"
 	"bpred/internal/history"
@@ -462,18 +464,10 @@ func BenchmarkSweepModern(b *testing.B) {
 	}
 }
 
-// BenchmarkTracePlane measures the layers under a streamed sweep
-// over a 1M-branch gcc trace: the upload ingest (BPT1 decode, content
-// digest, and BPT2 transcode through TraceStore.Ingest into a fresh
-// store), a drain of the stored BPT2 file in 8192-record batches, and
-// the tier-2^10 gshare sweep streamed off that file. MB/s counts
-// branches, times configurations for the sweep, as the other series
-// do.
-func BenchmarkTracePlane(b *testing.B) {
-	prof, _ := workload.ProfileByName("gcc")
-	tr := workload.Generate(prof, 1, 1<<20)
-	var bpt1 bytes.Buffer
-	w, err := trace.NewWriter(&bpt1, tr.Name, tr.Instructions, uint64(tr.Len()))
+// encodeBPT1 renders a trace in the upload format.
+func encodeBPT1(b *testing.B, tr *trace.Trace) []byte {
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, tr.Name, tr.Instructions, uint64(tr.Len()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,6 +479,20 @@ func BenchmarkTracePlane(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// BenchmarkTracePlane measures the layers under a streamed sweep
+// over a 1M-branch gcc trace: the upload ingest (BPT1 decode, content
+// digest, and BPT2 transcode through TraceStore.Ingest into a fresh
+// store), a drain of the stored BPT2 file in 8192-record batches, and
+// the tier-2^10 gshare sweep streamed off that file. MB/s counts
+// branches, times configurations for the sweep, as the other series
+// do.
+func BenchmarkTracePlane(b *testing.B) {
+	prof, _ := workload.ProfileByName("gcc")
+	tr := workload.Generate(prof, 1, 1<<20)
+	bpt1 := encodeBPT1(b, tr)
 	dir := b.TempDir()
 	bpt2 := filepath.Join(dir, "gcc.bpt2")
 	if err := trace.WriteFile2(bpt2, tr, 0); err != nil {
@@ -501,7 +509,7 @@ func BenchmarkTracePlane(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if _, err := store.Ingest(bytes.NewReader(bpt1.Bytes())); err != nil {
+			if _, err := store.Ingest(bytes.NewReader(bpt1)); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
@@ -545,4 +553,120 @@ func BenchmarkTracePlane(b *testing.B) {
 			}
 		}
 	})
+}
+
+// fig4Ledger returns the cells of the end-to-end benchmark's
+// fig4_cold job tier by tier — a gshare sweep over tiers 2^4..2^16,
+// 143 cells, warmup 1000 — with real metrics from a short gcc trace,
+// and that trace's digest.
+func fig4Ledger(b *testing.B) (tiers [][]core.Config, cells [][]sim.Metrics, digest [32]byte) {
+	prof, _ := workload.ProfileByName("gcc")
+	tr := workload.Generate(prof, 1, 1<<14)
+	for bits := 4; bits <= 16; bits++ {
+		configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, Tiers: []int{bits}})
+		ms, err := sim.RunConfigsCtx(context.Background(), configs, tr, sim.Options{Warmup: 1000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tiers = append(tiers, configs)
+		cells = append(cells, ms)
+	}
+	return tiers, cells, tr.Digest()
+}
+
+// BenchmarkLedger measures the BPC1 checkpoint layer on the
+// fig4_cold ledger. flush adds each tier's cells to a fresh file and
+// flushes it, tier by tier, as the coordinator settles a cold job;
+// lookup reads all 143 cells back, as a resubmitted job does. Neither
+// sets bytes: benchjson compares them by ns/op.
+func BenchmarkLedger(b *testing.B) {
+	tiers, cells, digest := fig4Ledger(b)
+	dir := b.TempDir()
+	path := checkpoint.PathFor(dir, digest, 1000)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		b.Fatal(err)
+	}
+	fill := func(b *testing.B) *checkpoint.Store {
+		st, err := checkpoint.Open(path, digest, 1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for t, configs := range tiers {
+			for i, c := range configs {
+				st.Add(c.Fingerprint(), cells[t][i])
+			}
+			if err := st.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return st
+	}
+	b.Run("flush", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fill(b)
+			b.StopTimer()
+			if err := os.Remove(path); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+	b.Run("lookup", func(b *testing.B) {
+		fill(b)
+		st, err := checkpoint.Open(path, digest, 1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, configs := range tiers {
+				for _, c := range configs {
+					if _, ok := st.Lookup(c.Fingerprint()); !ok {
+						b.Fatalf("ledger lacks %s", c.Fingerprint())
+					}
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkJobSpec measures job-spec → config expansion as the sweep
+// service pays it on every submit: validating the fig4_cold spec,
+// enumerating and validating its 143 configurations, and hashing
+// their fingerprints into the job's dedup key. Every op resubmits the
+// spec of a finished job, so it dedups and nothing is simulated. It
+// sets no bytes: benchjson compares it by ns/op.
+func BenchmarkJobSpec(b *testing.B) {
+	m, err := service.NewManager(service.Config{DataDir: b.TempDir(), PublishName: "bench-jobspec"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	prof, _ := workload.ProfileByName("gcc")
+	info, err := m.Traces().Ingest(bytes.NewReader(encodeBPT1(b, workload.Generate(prof, 1, 4096))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := service.JobSpec{Trace: info.Digest, Scheme: "gshare", MinBits: 4, MaxBits: 16, Warmup: 1000}
+	j, _, err := m.Submit(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); j.State() != service.StateDone; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			b.Fatalf("job %s is %s, not done", j.ID, j.State())
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, deduped, err := m.Submit(spec); err != nil || !deduped {
+			b.Fatalf("resubmit: deduped %v, err %v", deduped, err)
+		}
+	}
 }

@@ -8,18 +8,25 @@
 //	go test -run '^$' -bench BenchmarkKernels . | go run ./cmd/benchjson > BENCH_sim.json
 //
 // Non-benchmark lines are ignored, so the full `go test` output can
-// be piped in unfiltered.
+// be piped in unfiltered. Output of `go test -count N` repeats every
+// series N times; benchjson writes one entry per series holding the
+// median of each metric, the lower and upper quartiles (q1, q3) and
+// the run count, so the document carries its own run-to-run noise.
+//
+// A series' speed is its MB/s, or for a benchmark that sets no bytes
+// its ops per second (1e9 / ns/op).
 //
 // With -check, benchjson instead compares the run on stdin against a
-// checked-in baseline and exits non-zero if any benchmark's MB/s
-// regressed by more than -tolerance percent:
+// checked-in baseline and exits non-zero if any benchmark's median
+// speed regressed by more than -tolerance percent:
 //
 //	go test -run '^$' -bench . . | go run ./cmd/benchjson -check -baseline BENCH_sim.json -tolerance 15
 //
-// Benchmarks present in the run but absent from the baseline are
-// reported as new and never fail the gate; baseline entries missing
-// from the run are warned about but tolerated, so a scoped -bench
-// filter can gate a subset.
+// Baseline entries written before medians were recorded hold one run
+// and compare the same way. Benchmarks present in the run but absent
+// from the baseline are reported as new and never fail the gate;
+// baseline entries missing from the run are warned about but
+// tolerated, so a scoped -bench filter can gate a subset.
 //
 // With -pair base.txt change.txt, benchjson compares two files of
 // repeated runs round by round instead (make bench-pair): per series
@@ -39,13 +46,20 @@ import (
 	"strings"
 )
 
-// Result is one benchmark line. Metrics holds every reported
-// value keyed by its unit (ns/op, MB/s, misp%, B/op, allocs/op, ...).
+// Result is one benchmark series. Metrics holds every reported value
+// keyed by its unit (ns/op, MB/s, misp%, B/op, allocs/op, ...): as
+// parsed, one line's values; as written, the median over Runs runs,
+// with the quartiles in Q1 and Q3 when there was more than one.
+// Documents written before runs were counted carry one run and no
+// Runs field.
 type Result struct {
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`
+	Runs       int                `json:"runs,omitempty"`
 	Metrics    map[string]float64 `json:"metrics"`
+	Q1         map[string]float64 `json:"q1,omitempty"`
+	Q3         map[string]float64 `json:"q3,omitempty"`
 }
 
 // Doc is the emitted document.
@@ -87,6 +101,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
+	doc = summarize(doc)
 	if *check {
 		base, err := readDoc(*baseline)
 		if err != nil {
@@ -121,6 +136,58 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // of SetBytes, so MB/s reads as Mbranches/s).
 const throughputUnit = "MB/s"
 
+// speed returns the value the gates compare, higher is faster: MB/s,
+// or ops/s for a benchmark that sets no bytes.
+func speed(metrics map[string]float64) (v float64, unit string, ok bool) {
+	if v := metrics[throughputUnit]; v > 0 {
+		return v, throughputUnit, true
+	}
+	if ns := metrics["ns/op"]; ns > 0 {
+		return 1e9 / ns, "ops/s", true
+	}
+	return 0, "", false
+}
+
+// summarize folds repeated runs of a series (go test -count N) into
+// one Result per series, in first-seen order: every metric's median,
+// plus its quartiles when there was more than one run.
+func summarize(doc Doc) Doc {
+	runs := map[string][]Result{}
+	var order []string
+	for _, r := range doc.Results {
+		if _, ok := runs[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := doc
+	out.Results = make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := runs[name]
+		values := map[string][]float64{}
+		iters := make([]float64, len(rs))
+		for i, r := range rs {
+			iters[i] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		s := Result{Name: name, Procs: rs[0].Procs, Iterations: int64(quantile(iters, 0.5)),
+			Runs: len(rs), Metrics: map[string]float64{}}
+		if len(rs) > 1 {
+			s.Q1, s.Q3 = map[string]float64{}, map[string]float64{}
+		}
+		for unit, vs := range values {
+			s.Metrics[unit] = quantile(vs, 0.5)
+			if len(rs) > 1 {
+				s.Q1[unit], s.Q3[unit] = quantile(vs, 0.25), quantile(vs, 0.75)
+			}
+		}
+		out.Results = append(out.Results, s)
+	}
+	return out
+}
+
 // report is the outcome of one baseline comparison.
 type report struct {
 	compared int      // benchmarks present in both documents with MB/s
@@ -128,10 +195,12 @@ type report struct {
 	failures []string // regressions beyond tolerance
 }
 
-// compare checks every current result against the baseline document.
-// Only MB/s regressions fail: a benchmark missing from the baseline is
-// new (noted, not failed), and baseline entries absent from the
-// current run are noted so a narrowed -bench filter is visible.
+// compare checks every current result against the baseline document,
+// median against median (a single-run baseline entry is its own
+// median). Only speed regressions fail: a benchmark missing from the
+// baseline is new (noted, not failed), and baseline entries absent
+// from the current run are noted so a narrowed -bench filter is
+// visible.
 func compare(cur, base Doc, tolerance float64) report {
 	var rep report
 	baseBy := map[string]Result{}
@@ -146,10 +215,10 @@ func compare(cur, base Doc, tolerance float64) report {
 			rep.notes = append(rep.notes, fmt.Sprintf("%s: not in baseline (new benchmark)", r.Name))
 			continue
 		}
-		cv, cok := r.Metrics[throughputUnit]
-		bv, bok := b.Metrics[throughputUnit]
-		if !cok || !bok || bv <= 0 {
-			rep.notes = append(rep.notes, fmt.Sprintf("%s: no %s to compare", r.Name, throughputUnit))
+		cv, unit, cok := speed(r.Metrics)
+		bv, bunit, bok := speed(b.Metrics)
+		if !cok || !bok || unit != bunit {
+			rep.notes = append(rep.notes, fmt.Sprintf("%s: no %s or ns/op to compare", r.Name, throughputUnit))
 			continue
 		}
 		rep.compared++
@@ -157,7 +226,7 @@ func compare(cur, base Doc, tolerance float64) report {
 		if drop > tolerance {
 			rep.failures = append(rep.failures, fmt.Sprintf(
 				"%s: %.2f %s vs baseline %.2f %s (-%.1f%%, tolerance %.0f%%)",
-				r.Name, cv, throughputUnit, bv, throughputUnit, drop, tolerance))
+				r.Name, cv, unit, bv, unit, drop, tolerance))
 		}
 	}
 	for _, r := range base.Results {

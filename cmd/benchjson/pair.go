@@ -9,11 +9,11 @@ import (
 	"text/tabwriter"
 )
 
-// pairStat is one series over paired rounds, in MB/s: round i of the
-// base and of the change ran back to back on one host, so their ratio
-// cancels the drift both runs shared.
+// pairStat is one series over paired rounds, in its speed unit (MB/s,
+// or ops/s): round i of the base and of the change ran back to back on
+// one host, so their ratio cancels the drift both runs shared.
 type pairStat struct {
-	name                                      string
+	name, unit                                string
 	rounds, wins, losses                      int
 	baseMed, baseQ1, baseQ3, changeMed, ratio float64 // ratio: median change/base
 }
@@ -29,25 +29,27 @@ func (p pairStat) failed() bool {
 // occurrence on each side. Unequal counts pair the common prefix;
 // series one side lacks are skipped.
 func pairStats(base, change Doc) []pairStat {
-	mbps := func(doc Doc) map[string][]float64 {
-		by := map[string][]float64{}
+	speeds := func(doc Doc) (map[string][]float64, map[string]string) {
+		by, units := map[string][]float64{}, map[string]string{}
 		for _, r := range doc.Results {
-			if v := r.Metrics[throughputUnit]; v > 0 {
+			if v, unit, ok := speed(r.Metrics); ok {
 				by[r.Name] = append(by[r.Name], v)
+				units[r.Name] = unit
 			}
 		}
-		return by
+		return by, units
 	}
-	b, c := mbps(base), mbps(change)
+	b, bunits := speeds(base)
+	c, cunits := speeds(change)
 	var stats []pairStat
 	for _, r := range base.Results {
 		n := min(len(b[r.Name]), len(c[r.Name]))
 		bs, cs := b[r.Name][:n], c[r.Name][:n]
 		delete(b, r.Name) // the series' later rounds
-		if n == 0 {
+		if n == 0 || bunits[r.Name] != cunits[r.Name] {
 			continue
 		}
-		p := pairStat{name: r.Name, rounds: n}
+		p := pairStat{name: r.Name, unit: bunits[r.Name], rounds: n}
 		ratios := make([]float64, n)
 		for i := range ratios {
 			ratios[i] = cs[i] / bs[i]
@@ -94,19 +96,19 @@ func runPair(basePath, changePath string, stdout, stderr io.Writer) int {
 	}
 	stats := pairStats(docs[0], docs[1])
 	if len(stats) == 0 {
-		fmt.Fprintln(stderr, "benchjson: no series with MB/s in both runs")
+		fmt.Fprintln(stderr, "benchjson: no series with MB/s or ns/op in both runs")
 		return 1
 	}
 	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "series\tbase MB/s\tbase q1\tbase q3\tchange MB/s\tratio\twins\t")
+	fmt.Fprintln(tw, "series\tunit\tbase\tbase q1\tbase q3\tchange\tratio\twins\t")
 	failures := 0
 	for _, p := range stats {
 		verdict := ""
 		if p.failed() {
 			verdict, failures = "SLOWER", failures+1
 		}
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\t%d/%d\t%s\n",
-			p.name, p.baseMed, p.baseQ1, p.baseQ3, p.changeMed, p.ratio, p.wins, p.rounds, verdict)
+		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\t%d/%d\t%s\n",
+			p.name, p.unit, p.baseMed, p.baseQ1, p.baseQ3, p.changeMed, p.ratio, p.wins, p.rounds, verdict)
 	}
 	tw.Flush()
 	if failures > 0 {

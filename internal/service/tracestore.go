@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -280,7 +281,7 @@ func (s *TraceStore) Ingest(r io.Reader) (TraceInfo, error) {
 
 // IngestAs streams one trace upload (BPT1 or BPT2) for a tenant:
 // the stream is decoded a batch at a time into a content digest and a
-// canonical BPT2 transcode on a temp file, then renamed to
+// canonical BPT2 transcode on a temp file (transcode), then renamed to
 // <digest>.bpt2 — the decoded trace is never resident. Uploading
 // content the store already holds is idempotent (the tenant is added
 // as an owner). The record-count cap rejects oversized headers before
@@ -310,44 +311,8 @@ func (s *TraceStore) IngestAs(ctx context.Context, r io.Reader, tenant string, q
 			}
 		}
 	}()
-	w2, err := trace.NewWriter2(tmp, rd.Name(), rd.Instructions(), rd.Count(), 0)
+	digest, err := transcode(ctx, rd, tmp, s.maxBranches)
 	if err != nil {
-		return TraceInfo{}, err
-	}
-	dw := trace.NewDigestWriter(rd.Name(), rd.Instructions(), rd.Count())
-	var n uint64
-	buf := make([]trace.Branch, 4096)
-	done := ctx.Done()
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return TraceInfo{}, ctx.Err()
-			default:
-			}
-		}
-		batch := rd.NextBatch(buf)
-		if len(batch) == 0 {
-			break
-		}
-		n += uint64(len(batch))
-		// Belt against decoder regressions: the reader already stops at
-		// the header count, which the cap above bounded.
-		if n > s.maxBranches {
-			return TraceInfo{}, fmt.Errorf("%w: stream exceeds %d records", ErrTraceTooLarge, s.maxBranches)
-		}
-		dw.WriteBatch(batch)
-		if err := w2.WriteBatch(batch); err != nil {
-			return TraceInfo{}, err
-		}
-	}
-	if err := rd.Err(); err != nil {
-		return TraceInfo{}, err
-	}
-	if n != rd.Count() {
-		return TraceInfo{}, fmt.Errorf("trace: truncated upload: %d of %d records", n, rd.Count())
-	}
-	if err := w2.Close(); err != nil {
 		return TraceInfo{}, err
 	}
 	if err := tmp.Close(); err != nil {
@@ -357,12 +322,11 @@ func (s *TraceStore) IngestAs(ctx context.Context, r io.Reader, tenant string, q
 	if err != nil {
 		return TraceInfo{}, fmt.Errorf("service: %w", err)
 	}
-	digest := dw.Sum()
 	key := hex.EncodeToString(digest[:])
 	info = TraceInfo{
 		Digest:       key,
 		Name:         rd.Name(),
-		Branches:     n,
+		Branches:     rd.Count(),
 		Instructions: rd.Instructions(),
 		Format:       2,
 		Bytes:        uint64(st.Size()),
@@ -405,6 +369,52 @@ func (s *TraceStore) IngestAs(ctx context.Context, r io.Reader, tenant string, q
 		return TraceInfo{}, err
 	}
 	return info, nil
+}
+
+// ingestBatch is the record count of each of transcode's three
+// batches: 147 KB of decoded records in flight.
+const ingestBatch = 2048
+
+// transcode is IngestAs's pipeline, run through trace.FanOut: the
+// calling goroutine decodes rd into a ring of three batches, and the
+// BPT2 encoder (writing to dst) and the content digest each run over
+// every batch on a goroutine of their own, so decode, encode and
+// SHA-256 overlap. A batch is decoded into again only once both have
+// released it. ctx cancels at batch boundaries, and a failed BPT2
+// write stops the decode the same way. It returns the digest once
+// every promised record is encoded and the BPT2 index is written.
+func transcode(ctx context.Context, rd trace.Reader, dst io.Writer, maxBranches uint64) ([sha256.Size]byte, error) {
+	var digest [sha256.Size]byte
+	w2, err := trace.NewWriter2(dst, rd.Name(), rd.Instructions(), rd.Count(), 0)
+	if err != nil {
+		return digest, err
+	}
+	dw := trace.NewDigestWriter(rd.Name(), rd.Instructions(), rd.Count())
+	var n uint64
+	hash := func(batch []trace.Branch) error {
+		n += uint64(len(batch))
+		// Belt against decoder regressions: the reader already stops
+		// at the header count, which IngestAs's cap bounded.
+		if n > maxBranches {
+			return fmt.Errorf("%w: stream exceeds %d records", ErrTraceTooLarge, maxBranches)
+		}
+		dw.WriteBatch(batch)
+		return nil
+	}
+	slots := trace.Cut(make([]trace.Branch, 3*ingestBatch), 3)
+	if err := trace.FanOut(ctx, rd, slots, hash, w2.WriteBatch); err != nil {
+		return digest, err
+	}
+	if err := rd.Err(); err != nil {
+		return digest, err
+	}
+	if n != rd.Count() {
+		return digest, fmt.Errorf("trace: truncated upload: %d of %d records", n, rd.Count())
+	}
+	if err := w2.Close(); err != nil {
+		return digest, err
+	}
+	return dw.Sum(), nil
 }
 
 // Open returns the raw canonical byte stream for a stored digest.

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"bpred/internal/core"
 	"bpred/internal/trace"
@@ -12,20 +11,23 @@ import (
 // RunConfigsStream builds and evaluates every configuration over a
 // streaming branch source in a single pass, without requiring the
 // trace to be memory-resident: each NextBatch window (for a BPT2
-// reader, a run of decoded blocks) is fed to every runner before the
-// next is decoded, so peak residency is one chunk regardless of trace
-// length. Metrics are bit-identical to RunConfigsCtx over the decoded
-// trace — chunking does not affect results (the metamorphic suite
-// pins this), and the per-config runners here are the same ones the
-// in-memory path uses. Where the in-memory path gives each worker its
-// own walk over the resident trace, the streaming path decodes each
-// chunk once and parallelizes across configs within it.
+// reader, a run of decoded blocks) is fed to every runner while the
+// next windows are decoded into the rest of the same chunk buffer, so
+// peak residency is one chunk regardless of trace length. Metrics are
+// bit-identical to RunConfigsCtx over the decoded trace — chunking
+// does not affect results (the metamorphic suite pins this), and the
+// per-config runners here are the same ones the in-memory path uses.
+// Where the in-memory path gives each worker its own walk over the
+// resident trace, the streaming path decodes each chunk once and
+// parallelizes across configs within it.
 //
 // Cancellation is checked at chunk boundaries only (kernels stay
 // pure). On cancellation every returned entry is zero — a single
 // shared pass has no per-config completion order — and ctx.Err() is
 // returned. A source error (corrupt or truncated trace) is returned
-// the same way: zero metrics, non-nil error.
+// the same way: zero metrics, non-nil error. Once RunConfigsStream
+// returns it holds no goroutine and never calls src again, so the
+// caller may close the source right away.
 func RunConfigsStream(ctx context.Context, configs []core.Config, src trace.BatchSource, opt Options) ([]Metrics, error) {
 	preds, err := buildConfigs(configs, opt)
 	if err != nil {
@@ -51,73 +53,31 @@ func RunConfigsStream(ctx context.Context, configs []core.Config, src trace.Batc
 	return out, nil
 }
 
-// streamChunks drives the decode loop, fanning each chunk across
-// worker goroutines in strided config partitions (the same assignment
-// RunPredictorsCtx uses). The chunk window is only valid until the
-// next NextBatch call, so every worker must drain it before the next
-// decode — a per-chunk barrier. Workers are persistent; the barrier
-// is two channel hops per chunk, amortized over a whole chunk of
-// kernel work per config.
+// streamWindows is how many windows streamChunks cuts its chunk
+// buffer into. Two would be enough to decode one window ahead, but
+// with two the decode cannot start until the slowest worker releases
+// the older window; four let a worker run ahead of the others by up
+// to three windows, so the decode fills whichever CPU is free.
+const streamWindows = 4
+
+// streamChunks drives the decode loop through trace.FanOut: the
+// caller decodes windows into a quarter of the chunk buffer each, and
+// one stage goroutine per worker feeds every window to its strided
+// config partition (the same assignment RunPredictorsCtx uses), so the
+// decode of the next windows overlaps the kernels running the earlier
+// ones and no memory is added. Each config sees the windows in stream
+// order, so results do not change.
 func streamChunks(ctx context.Context, rs []runner, src trace.BatchSource, opt Options) error {
-	buf := make([]trace.Branch, chunkLen(opt))
-	done := ctx.Done()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(rs) {
-		workers = len(rs)
-	}
-	if workers <= 1 {
-		for {
-			if done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			chunk := src.NextBatch(buf)
-			if len(chunk) == 0 {
-				return nil
-			}
-			for i := range rs {
+	buf := make([]trace.Branch, max(chunkLen(opt), streamWindows))
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(rs)))
+	stages := make([]func([]trace.Branch) error, workers)
+	for w := range stages {
+		stages[w] = func(chunk []trace.Branch) error {
+			for i := w; i < len(rs); i += workers {
 				rs[i].feed(chunk)
 			}
-		}
-	}
-	feed := make([]chan []trace.Branch, workers)
-	var barrier sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ch := make(chan []trace.Branch)
-		feed[w] = ch
-		go func(w int, ch <-chan []trace.Branch) {
-			for chunk := range ch {
-				for i := w; i < len(rs); i += workers {
-					rs[i].feed(chunk)
-				}
-				barrier.Done()
-			}
-		}(w, ch)
-	}
-	defer func() {
-		for _, ch := range feed {
-			close(ch)
-		}
-	}()
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		chunk := src.NextBatch(buf)
-		if len(chunk) == 0 {
 			return nil
 		}
-		barrier.Add(workers)
-		for _, ch := range feed {
-			ch <- chunk
-		}
-		barrier.Wait()
 	}
+	return trace.FanOut(ctx, src, trace.Cut(buf, streamWindows), stages...)
 }

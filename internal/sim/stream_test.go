@@ -3,12 +3,19 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bpred/internal/core"
+	"bpred/internal/rng"
 	"bpred/internal/trace"
 )
 
@@ -123,4 +130,246 @@ func TestStreamSourceError(t *testing.T) {
 	if _, err := RunConfigsStream(context.Background(), configs, r, Options{}); err == nil {
 		t.Fatal("corrupt stream produced metrics without an error")
 	}
+}
+
+// encodeBPT1 and encodeBPT2 render a trace in either format in memory.
+func encodeBPT1(t testing.TB, tr *trace.Trace) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	w, err := trace.NewWriter(&b, tr.Name, tr.Instructions, uint64(tr.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, br := range tr.Branches {
+		if err := w.WriteBranch(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+func encodeBPT2(t testing.TB, tr *trace.Trace, blockLen int) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	w, err := trace.NewWriter2(&b, tr.Name, tr.Instructions, uint64(tr.Len()), blockLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(tr.Branches); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// guardSource wraps a source and counts every call made after close:
+// RunConfigsStream's callers close the backing file as soon as it
+// returns, so any such call is a use after close.
+type guardSource struct {
+	src    trace.BatchSource
+	closed atomic.Bool
+	late   atomic.Int64
+}
+
+func (g *guardSource) check() {
+	if g.closed.Load() {
+		g.late.Add(1)
+	}
+}
+
+func (g *guardSource) Next() (trace.Branch, bool) {
+	g.check()
+	return g.src.Next()
+}
+
+func (g *guardSource) NextBatch(buf []trace.Branch) []trace.Branch {
+	g.check()
+	return g.src.NextBatch(buf)
+}
+
+func (g *guardSource) Err() error {
+	g.check()
+	if es, ok := g.src.(interface{ Err() error }); ok {
+		return es.Err()
+	}
+	return nil
+}
+
+// pipelineGoroutines counts the live goroutines running a
+// trace.FanOut stage — the workers a streamed sweep starts.
+func pipelineGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "bpred/internal/trace.FanOut") {
+			count++
+		}
+	}
+	return count
+}
+
+// pipelineJoined reports whether every pipeline goroutine is gone. A
+// joined stage goroutine can still be on its way out when the join
+// returns, so it polls briefly; a stage blocked for good never leaves.
+func pipelineJoined() bool {
+	deadline := time.Now().Add(2 * time.Second)
+	for pipelineGoroutines() != 0 {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// streamChecked runs RunConfigsStream over src through a guardSource,
+// closes the guard the moment it returns, and fails the test if a
+// worker goroutine outlived the call or the source was called after
+// it.
+func streamChecked(t testing.TB, ctx context.Context, configs []core.Config, src trace.BatchSource, opt Options) ([]Metrics, error) {
+	t.Helper()
+	g := &guardSource{src: src}
+	got, err := RunConfigsStream(ctx, configs, g, opt)
+	g.closed.Store(true)
+	if !pipelineJoined() {
+		t.Fatalf("%d pipeline goroutines outlived RunConfigsStream", pipelineGoroutines())
+	}
+	if n := g.late.Load(); n != 0 {
+		t.Fatalf("source called %d times after RunConfigsStream returned", n)
+	}
+	return got, err
+}
+
+// cancelAfterBatches cancels a context once its source has handed out
+// a given number of windows.
+type cancelAfterBatches struct {
+	trace.BatchSource
+	left   int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterBatches) NextBatch(buf []trace.Branch) []trace.Branch {
+	if c.left--; c.left == 0 {
+		c.cancel()
+	}
+	return c.BatchSource.NextBatch(buf)
+}
+
+// TestStreamLifecycle pins the pipeline's lifetime: whether the stream
+// ends normally, is canceled mid-way, or hits a corrupt block, no
+// worker goroutine is alive once RunConfigsStream returns and the
+// source is never called again. Workers are forced past one so the
+// stage goroutines exist even on a one-CPU host.
+func TestStreamLifecycle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tr := kernelTrace(17, 40_000)
+	good := encodeBPT2(t, tr, 512)
+	corrupt := bytes.Clone(good)
+	corrupt[len(corrupt)/2] ^= 0x10 // lands inside a block
+	configs := configAxes()["mixed"]
+	open := func(raw []byte) trace.Reader {
+		r, err := trace.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	want, err := RunConfigsCtx(context.Background(), configs, tr, Options{Warmup: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := streamChecked(t, context.Background(), configs, open(good), Options{Warmup: 100, Chunk: 4096})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("normal end: err %v, metrics match %v", err, reflect.DeepEqual(got, want))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAfterBatches{BatchSource: open(good), left: 5, cancel: cancel}
+	if _, err := streamChecked(t, ctx, configs, src, Options{Chunk: 4096}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel: err = %v, want context.Canceled", err)
+	}
+
+	if _, err := streamChecked(t, context.Background(), configs, open(corrupt), Options{Chunk: 4096}); err == nil {
+		t.Fatal("corrupt block: no error")
+	}
+}
+
+// FuzzStreamEquivalence fuzzes the window-ownership rule of the
+// decode-ahead pipeline: over a random trace length, BPT2 block
+// length, chunk (including chunks shorter than a block, where the
+// reader hands out windows of its own block), warmup and config mix,
+// RunConfigsStream over a BPT2 stream, a BPT1 stream and the in-memory
+// trace's own windows equals RunConfigsCtx, and leaves no goroutine or
+// late source call behind.
+func FuzzStreamEquivalence(f *testing.F) {
+	f.Add(uint64(1), uint16(20_000), uint16(1024), uint16(0), uint16(1000), uint8(0))
+	f.Add(uint64(2), uint16(5_000), uint16(1000), uint16(700), uint16(3), uint8(7))
+	f.Add(uint64(3), uint16(9_000), uint16(4096), uint16(1500), uint16(0), uint8(42))
+	f.Add(uint64(4), uint16(100), uint16(1), uint16(1), uint16(200), uint8(9))
+	var flat []core.Config
+	axes := configAxes()
+	names := make([]string, 0, len(axes))
+	for name := range axes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		flat = append(flat, axes[name]...)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n, blockLen, chunk, warmup uint16, mix uint8) {
+		tr := kernelTrace(seed, int(n)%30_000+1)
+		r := rng.NewXoshiro256(uint64(mix))
+		configs := make([]core.Config, 1+r.Intn(6))
+		for i := range configs {
+			configs[i] = flat[r.Intn(len(flat))]
+		}
+		opt := Options{Warmup: int(warmup), Chunk: int(chunk) % 10_000}
+		want, err := RunConfigsCtx(context.Background(), configs, tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl := int(blockLen)%4096 + 1
+		sources := map[string]func() trace.BatchSource{
+			"bpt2": func() trace.BatchSource {
+				rd, err := trace.NewReader(bytes.NewReader(encodeBPT2(t, tr, bl)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rd
+			},
+			"bpt1": func() trace.BatchSource {
+				rd, err := trace.NewReader(bytes.NewReader(encodeBPT1(t, tr)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rd
+			},
+			"memory": func() trace.BatchSource { return tr.NewSource().(trace.BatchSource) },
+		}
+		for name, open := range sources {
+			got, err := streamChecked(t, context.Background(), configs, open(), opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (block %d, chunk %d, warmup %d, %d configs): streamed metrics diverge from in-memory",
+					name, bl, opt.Chunk, opt.Warmup, len(configs))
+			}
+		}
+	})
 }
