@@ -91,8 +91,14 @@ bench-short:
 # its median and quartiles.
 BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepTiers|BenchmarkSweepModern|BenchmarkTracePlane|BenchmarkLedger|BenchmarkJobSpec
 
+# BENCH_CPU, when set, is the GOMAXPROCS list bench-sim, bench-check
+# and bench-pair run every series at (go test -cpu), for example
+# BENCH_CPU=1,2; benchjson keeps each CPU count its own series. Empty
+# runs at the host's GOMAXPROCS.
+BENCH_CPU ?=
+
 bench-sim:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count 5 . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1s -count 5 $(if $(BENCH_CPU),-cpu $(BENCH_CPU)) . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # bench-check is the perf-regression gate: rerun the tracked
@@ -105,7 +111,7 @@ BENCH_TOL ?= 15
 BENCH_TIME ?= 1s
 
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) $(if $(BENCH_CPU),-cpu $(BENCH_CPU)) . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -check -baseline BENCH_sim.json -tolerance $(BENCH_TOL)
 
 # bench-pair measures the change, not the host. It exports BASE with
@@ -122,7 +128,7 @@ PAIR_N ?= 10
 PAIR_DIR = .bench_pair
 
 bench-pair:
-	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [PAIR_N=10] [BENCH_PATTERN=...] [BENCH_TIME=1s]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [PAIR_N=10] [BENCH_PATTERN=...] [BENCH_TIME=1s] [BENCH_CPU=1,2]"; exit 2; }
 	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
 	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
 	cp bench_test.go $(PAIR_DIR)/base/
@@ -133,7 +139,7 @@ bench-pair:
 		for side in $$order; do \
 			echo "round $$i: $$side" >&2; \
 			$(PAIR_DIR)/$$side.test -test.run '^$$' -test.bench '$(BENCH_PATTERN)' \
-				-test.benchtime $(BENCH_TIME) >> $(PAIR_DIR)/$$side.txt || exit 1; \
+				-test.benchtime $(BENCH_TIME) $(if $(BENCH_CPU),-test.cpu $(BENCH_CPU)) >> $(PAIR_DIR)/$$side.txt || exit 1; \
 		done; \
 	done
 	$(GO) run ./cmd/benchjson -pair $(PAIR_DIR)/base.txt $(PAIR_DIR)/change.txt

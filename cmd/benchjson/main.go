@@ -13,6 +13,8 @@
 // median of each metric, the lower and upper quartiles (q1, q3) and
 // the run count, so the document carries its own run-to-run noise.
 //
+// A series is one benchmark at one GOMAXPROCS: output of go test -cpu
+// 1,2 holds two series per benchmark, and every mode keeps them apart.
 // A series' speed is its MB/s, or for a benchmark that sets no bytes
 // its ops per second (1e9 / ns/op).
 //
@@ -148,22 +150,33 @@ func speed(metrics map[string]float64) (v float64, unit string, ok bool) {
 	return 0, "", false
 }
 
+// series identifies one benchmark series: its name with Go's -P
+// suffix stripped, and the GOMAXPROCS that suffix gave. go test -cpu
+// 1,2 runs every benchmark once per CPU count, and the two are
+// different series.
+type series struct {
+	name  string
+	procs int
+}
+
+func (r Result) series() series { return series{r.Name, r.Procs} }
+
 // summarize folds repeated runs of a series (go test -count N) into
 // one Result per series, in first-seen order: every metric's median,
 // plus its quartiles when there was more than one run.
 func summarize(doc Doc) Doc {
-	runs := map[string][]Result{}
-	var order []string
+	runs := map[series][]Result{}
+	var order []series
 	for _, r := range doc.Results {
-		if _, ok := runs[r.Name]; !ok {
-			order = append(order, r.Name)
+		if _, ok := runs[r.series()]; !ok {
+			order = append(order, r.series())
 		}
-		runs[r.Name] = append(runs[r.Name], r)
+		runs[r.series()] = append(runs[r.series()], r)
 	}
 	out := doc
 	out.Results = make([]Result, 0, len(order))
-	for _, name := range order {
-		rs := runs[name]
+	for _, id := range order {
+		rs := runs[id]
 		values := map[string][]float64{}
 		iters := make([]float64, len(rs))
 		for i, r := range rs {
@@ -172,7 +185,7 @@ func summarize(doc Doc) Doc {
 				values[unit] = append(values[unit], v)
 			}
 		}
-		s := Result{Name: name, Procs: rs[0].Procs, Iterations: int64(quantile(iters, 0.5)),
+		s := Result{Name: id.name, Procs: id.procs, Iterations: int64(quantile(iters, 0.5)),
 			Runs: len(rs), Metrics: map[string]float64{}}
 		if len(rs) > 1 {
 			s.Q1, s.Q3 = map[string]float64{}, map[string]float64{}
@@ -197,28 +210,47 @@ type report struct {
 
 // compare checks every current result against the baseline document,
 // median against median (a single-run baseline entry is its own
-// median). Only speed regressions fail: a benchmark missing from the
-// baseline is new (noted, not failed), and baseline entries absent
-// from the current run are noted so a narrowed -bench filter is
-// visible.
+// median). A series compares against the baseline entry of its own
+// name and GOMAXPROCS; failing that, against the baseline's one entry
+// of that name, so a host with another CPU count still gates against
+// the checked-in document. Only speed regressions fail: a benchmark
+// missing from the baseline is new (noted, not failed), and baseline
+// entries absent from the current run are noted so a narrowed -bench
+// filter is visible. When the run holds several CPU counts, every
+// message names the series' count.
 func compare(cur, base Doc, tolerance float64) report {
 	var rep report
-	baseBy := map[string]Result{}
+	baseBy := map[series]Result{}
+	byName := map[string][]Result{}
 	for _, r := range base.Results {
-		baseBy[r.Name] = r
+		baseBy[r.series()] = r
+		byName[r.Name] = append(byName[r.Name], r)
 	}
-	seen := map[string]bool{}
+	cpus := map[int]bool{}
 	for _, r := range cur.Results {
-		seen[r.Name] = true
-		b, ok := baseBy[r.Name]
+		cpus[r.Procs] = true
+	}
+	label := func(r Result) string {
+		if len(cpus) > 1 {
+			return fmt.Sprintf("%s (-cpu %d)", r.Name, r.Procs)
+		}
+		return r.Name
+	}
+	used := map[series]bool{}
+	for _, r := range cur.Results {
+		b, ok := baseBy[r.series()]
+		if !ok && len(byName[r.Name]) == 1 {
+			b, ok = byName[r.Name][0], true
+		}
 		if !ok {
-			rep.notes = append(rep.notes, fmt.Sprintf("%s: not in baseline (new benchmark)", r.Name))
+			rep.notes = append(rep.notes, fmt.Sprintf("%s: not in baseline (new benchmark)", label(r)))
 			continue
 		}
+		used[b.series()] = true
 		cv, unit, cok := speed(r.Metrics)
 		bv, bunit, bok := speed(b.Metrics)
 		if !cok || !bok || unit != bunit {
-			rep.notes = append(rep.notes, fmt.Sprintf("%s: no %s or ns/op to compare", r.Name, throughputUnit))
+			rep.notes = append(rep.notes, fmt.Sprintf("%s: no %s or ns/op to compare", label(r), throughputUnit))
 			continue
 		}
 		rep.compared++
@@ -226,12 +258,12 @@ func compare(cur, base Doc, tolerance float64) report {
 		if drop > tolerance {
 			rep.failures = append(rep.failures, fmt.Sprintf(
 				"%s: %.2f %s vs baseline %.2f %s (-%.1f%%, tolerance %.0f%%)",
-				r.Name, cv, unit, bv, unit, drop, tolerance))
+				label(r), cv, unit, bv, unit, drop, tolerance))
 		}
 	}
 	for _, r := range base.Results {
-		if !seen[r.Name] {
-			rep.notes = append(rep.notes, fmt.Sprintf("%s: in baseline but not in this run", r.Name))
+		if !used[r.series()] {
+			rep.notes = append(rep.notes, fmt.Sprintf("%s: in baseline but not in this run", label(r)))
 		}
 	}
 	return rep

@@ -13,7 +13,8 @@ import (
 // or ops/s): round i of the base and of the change ran back to back on
 // one host, so their ratio cancels the drift both runs shared.
 type pairStat struct {
-	name, unit                                string
+	series
+	unit                                      string
 	rounds, wins, losses                      int
 	baseMed, baseQ1, baseQ3, changeMed, ratio float64 // ratio: median change/base
 }
@@ -25,16 +26,16 @@ func (p pairStat) failed() bool {
 }
 
 // pairStats pairs each series of the base with the change's. Files of
-// appended runs repeat a name once per run, so round i is its i-th
+// appended runs repeat a series once per run, so round i is its i-th
 // occurrence on each side. Unequal counts pair the common prefix;
 // series one side lacks are skipped.
 func pairStats(base, change Doc) []pairStat {
-	speeds := func(doc Doc) (map[string][]float64, map[string]string) {
-		by, units := map[string][]float64{}, map[string]string{}
+	speeds := func(doc Doc) (map[series][]float64, map[series]string) {
+		by, units := map[series][]float64{}, map[series]string{}
 		for _, r := range doc.Results {
 			if v, unit, ok := speed(r.Metrics); ok {
-				by[r.Name] = append(by[r.Name], v)
-				units[r.Name] = unit
+				by[r.series()] = append(by[r.series()], v)
+				units[r.series()] = unit
 			}
 		}
 		return by, units
@@ -43,13 +44,14 @@ func pairStats(base, change Doc) []pairStat {
 	c, cunits := speeds(change)
 	var stats []pairStat
 	for _, r := range base.Results {
-		n := min(len(b[r.Name]), len(c[r.Name]))
-		bs, cs := b[r.Name][:n], c[r.Name][:n]
-		delete(b, r.Name) // the series' later rounds
-		if n == 0 || bunits[r.Name] != cunits[r.Name] {
+		id := r.series()
+		n := min(len(b[id]), len(c[id]))
+		bs, cs := b[id][:n], c[id][:n]
+		delete(b, id) // the series' later rounds
+		if n == 0 || bunits[id] != cunits[id] {
 			continue
 		}
-		p := pairStat{name: r.Name, unit: bunits[r.Name], rounds: n}
+		p := pairStat{series: id, unit: bunits[id], rounds: n}
 		ratios := make([]float64, n)
 		for i := range ratios {
 			ratios[i] = cs[i] / bs[i]
@@ -100,15 +102,15 @@ func runPair(basePath, changePath string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "series\tunit\tbase\tbase q1\tbase q3\tchange\tratio\twins\t")
+	fmt.Fprintln(tw, "series\tprocs\tunit\tbase\tbase q1\tbase q3\tchange\tratio\twins\t")
 	failures := 0
 	for _, p := range stats {
 		verdict := ""
 		if p.failed() {
 			verdict, failures = "SLOWER", failures+1
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\t%d/%d\t%s\n",
-			p.name, p.unit, p.baseMed, p.baseQ1, p.baseQ3, p.changeMed, p.ratio, p.wins, p.rounds, verdict)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\t%d/%d\t%s\n",
+			p.name, p.procs, p.unit, p.baseMed, p.baseQ1, p.baseQ3, p.changeMed, p.ratio, p.wins, p.rounds, verdict)
 	}
 	tw.Flush()
 	if failures > 0 {

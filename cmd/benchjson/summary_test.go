@@ -134,3 +134,70 @@ func TestSpeedFallsBackToNsPerOp(t *testing.T) {
 		t.Fatalf("pair stats %+v", stats)
 	}
 }
+
+// cpuText renders `go test -cpu 1,2 -count N` output of one benchmark
+// in Go's order: every run at one CPU, then every run at two; the name
+// carries no -P suffix at one CPU.
+func cpuText(name string, mbs map[int][]float64) string {
+	var sb strings.Builder
+	sb.WriteString("goos: linux\npkg: bpred\n")
+	for _, procs := range []int{1, 2} {
+		label := name
+		if procs != 1 {
+			label = fmt.Sprintf("%s-%d", name, procs)
+		}
+		for _, v := range mbs[procs] {
+			fmt.Fprintf(&sb, "%s  \t     100\t  1000 ns/op\t %.2f MB/s\n", label, v)
+		}
+	}
+	sb.WriteString("PASS\nok  \tbpred\t1.0s\n")
+	return sb.String()
+}
+
+// TestSeriesKeyedByProcs checks that a -cpu 1,2 -count 3 run is two
+// series in every mode: summarize writes one entry per CPU count with
+// its own median and quartiles, -check compares each against the
+// baseline entry of its own CPU count, and -pair pairs each with its
+// own rounds.
+func TestSeriesKeyedByProcs(t *testing.T) {
+	text := cpuText("BenchmarkA", map[int][]float64{1: {10, 12, 11}, 2: {20, 24, 22}})
+	doc := summarize(parseText(t, text))
+	if len(doc.Results) != 2 {
+		t.Fatalf("summarize gave %d series, want 2: %+v", len(doc.Results), doc.Results)
+	}
+	for i, want := range []struct {
+		procs       int
+		med, q1, q3 float64
+	}{{1, 11, 10.5, 11.5}, {2, 22, 21, 23}} {
+		r := doc.Results[i]
+		if r.Name != "BenchmarkA" || r.Procs != want.procs || r.Runs != 3 ||
+			r.Metrics["MB/s"] != want.med || r.Q1["MB/s"] != want.q1 || r.Q3["MB/s"] != want.q3 {
+			t.Errorf("series %d = %+v, want procs %d median %v q1 %v q3 %v", i, r, want.procs, want.med, want.q1, want.q3)
+		}
+	}
+
+	// Against a baseline holding both CPU counts, a slower two-CPU run
+	// fails only its own series.
+	path := writeBaseline(t, Doc{Results: []Result{
+		{Name: "BenchmarkA", Procs: 1, Iterations: 100, Metrics: map[string]float64{"MB/s": 11}},
+		{Name: "BenchmarkA", Procs: 2, Iterations: 100, Metrics: map[string]float64{"MB/s": 22}},
+	}})
+	slow := cpuText("BenchmarkA", map[int][]float64{1: {10, 12, 11}, 2: {12, 13, 11}})
+	code, _, stderr := runCLI(t, []string{"-check", "-baseline", path}, slow)
+	if code != 1 || !strings.Contains(stderr, "FAIL: BenchmarkA (-cpu 2): 12.00 MB/s vs baseline 22.00 MB/s") ||
+		strings.Contains(stderr, "BenchmarkA (-cpu 1): ") {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if code, _, stderr := runCLI(t, []string{"-check", "-baseline", path}, text); code != 0 ||
+		!strings.Contains(stderr, "2 benchmarks within") {
+		t.Fatalf("unchanged run: exit %d, stderr:\n%s", code, stderr)
+	}
+
+	stats := pairStats(parseText(t, text), parseText(t, slow))
+	if len(stats) != 2 || stats[0].procs != 1 || stats[1].procs != 2 {
+		t.Fatalf("pair stats %+v", stats)
+	}
+	if stats[0].ratio != 1 || stats[0].failed() || stats[1].losses != 3 || !stats[1].failed() {
+		t.Fatalf("pair stats %+v: want the one-CPU series even, the two-CPU series slower", stats)
+	}
+}

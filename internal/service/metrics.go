@@ -12,10 +12,10 @@ import (
 
 // handleMetrics renders Prometheus text exposition format. Output
 // order is deterministic: service gauges first (fixed order, states
-// sorted), then the coordinator's counters, then every obs-published
-// counter set sorted by name with a fixed field order — so tests can
-// compare runs textually and scrapers never see metrics flap in and
-// out.
+// sorted), then the coordinator's and the embedded worker's counters,
+// then every obs-published counter set sorted by name with a fixed
+// field order — so tests can compare runs textually and scrapers never
+// see metrics flap in and out.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	m := s.m
@@ -52,9 +52,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetricHeader(&b, "bpserved_cells_in_flight", "gauge", "Sweep cells dispatched to the worker fleet and not yet settled.")
 	fmt.Fprintf(&b, "bpserved_cells_in_flight %d\n", m.coord.CellsInFlight())
 
-	// The coordinator's scheduling counters (cluster.Stats), one
-	// series per field.
-	st := m.coord.Stats()
+	// The coordinator's scheduling counters (cluster.Stats) and the
+	// embedded worker's (cluster.WorkerStats), one series per field.
+	// A remote worker prints its own on its exit line.
+	st, ws := m.coord.Stats(), m.local.Stats()
 	for _, cm := range []struct {
 		name, help string
 		value      uint64
@@ -66,6 +67,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"bpcluster_replicas_sent_total", "Settled cells pushed to workers on their next pull.", st.ReplicasSent},
 		{"bpcluster_flush_errors_total", "Ledger checkpoint flushes that failed.", st.FlushErrors},
 		{"bpcluster_stale_completions_total", "Completions tagged with another coordinator incarnation.", st.StaleCompletions},
+		{"bpworker_chunks_run_total", "Chunks the embedded worker ran to completion.", ws.ChunksRun},
+		{"bpworker_cells_computed_total", "Cells the embedded worker's kernels evaluated.", ws.CellsComputed},
+		{"bpworker_cells_local_total", "Chunk cells the embedded worker answered from its replica cache.", ws.CellsLocal},
+		{"bpworker_replicas_installed_total", "Replica cells the embedded worker installed from coordinator pushes.", ws.ReplicasInstalled},
 	} {
 		writeMetricHeader(&b, cm.name, "counter", cm.help)
 		fmt.Fprintf(&b, "%s %d\n", cm.name, cm.value)

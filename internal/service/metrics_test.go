@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -118,15 +119,17 @@ func TestMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestMetricsExportClusterStats guards the coordinator's scheduling
-// counters against going dark: every cluster.Stats field must render
-// as a bpcluster_<snake_case>_total counter, and the series must carry
-// the live value.
+// TestMetricsExportClusterStats guards the cluster counters against
+// going dark: every field of the coordinator's cluster.Stats must
+// render as a bpcluster_<snake_case>_total counter and every field of
+// the embedded worker's cluster.WorkerStats as a
+// bpworker_<snake_case>_total counter, and the series must carry the
+// live values.
 func TestMetricsExportClusterStats(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	info := upload(t, ts, encodeBPT1(t, genTrace(t, 2000, 22)))
 	ack, _ := submit(t, ts, JobSpec{Trace: info.Digest, Scheme: "gshare", Tiers: []int{4}})
-	waitTerminal(t, ts, ack.ID)
+	job := waitTerminal(t, ts, ack.ID)
 
 	typed := map[string]bool{}
 	samples := map[string]bool{}
@@ -136,17 +139,26 @@ func TestMetricsExportClusterStats(t *testing.T) {
 		}
 		samples[line] = true
 	}
-	st := reflect.TypeOf(cluster.Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		field := st.Field(i).Name
-		name := "bpcluster_" + snakeCase(field) + "_total"
-		if !typed[name] {
-			t.Errorf("cluster.Stats.%s has no /metrics counter %s", field, name)
+	for prefix, v := range map[string]any{"bpcluster_": cluster.Stats{}, "bpworker_": cluster.WorkerStats{}} {
+		st := reflect.TypeOf(v)
+		for i := 0; i < st.NumField(); i++ {
+			field := st.Field(i).Name
+			name := prefix + snakeCase(field) + "_total"
+			if !typed[name] {
+				t.Errorf("%s.%s has no /metrics counter %s", st, field, name)
+			}
 		}
 	}
-	// One single-tier job on a lone embedded worker is one chunk.
-	if !samples["bpcluster_chunks_dispatched_total 1"] {
-		t.Error("bpcluster_chunks_dispatched_total does not read the coordinator's 1 dispatched chunk")
+	// One single-tier job on a lone embedded worker is one chunk, and
+	// the worker computes every one of its cells.
+	for _, want := range []string{
+		"bpcluster_chunks_dispatched_total 1",
+		"bpworker_chunks_run_total 1",
+		fmt.Sprintf("bpworker_cells_computed_total %d", job.CellsTotal),
+	} {
+		if !samples[want] {
+			t.Errorf("/metrics lacks the live sample %q", want)
+		}
 	}
 }
 

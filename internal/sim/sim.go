@@ -215,32 +215,39 @@ func RunConfigs(configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, 
 	return RunConfigsCtx(context.Background(), configs, t, opt)
 }
 
-// RunConfigsCtx is RunConfigs with cancellation. The partial-result
-// contract is RunPredictorsCtx's: on cancellation the returned error
-// is ctx.Err() and the metrics slice holds final values for every
-// configuration whose worker batch completed before the cancel
-// (recognizable by a non-empty Name) and zero Metrics for the rest.
+// RunConfigsCtx is RunConfigs with cancellation. It validates every
+// configuration before any worker starts, failing on the first
+// invalid one. Each worker then builds the predictors of its own
+// strided partition, so the tables and per-branch state a core writes
+// on every branch were allocated by that core and share no cache line
+// with another worker's (DESIGN.md §5, per-worker predictor memory).
+// The partial-result contract is RunPredictorsCtx's: on cancellation
+// the returned error is ctx.Err() and the metrics slice holds final
+// values for every configuration whose partition completed before the
+// cancel (recognizable by a non-empty Name) and zero Metrics for the
+// rest.
 func RunConfigsCtx(ctx context.Context, configs []core.Config, t *trace.Trace, opt Options) ([]Metrics, error) {
-	preds, err := buildConfigs(configs, opt)
-	if err != nil {
+	if err := validateConfigs(configs, opt); err != nil {
 		return nil, err
 	}
-	return RunPredictorsCtx(ctx, preds, t, opt)
+	return runPartitions(ctx, len(configs), buildConfig(configs), t.Branches, opt)
 }
 
-// buildConfigs builds every configuration, failing fast on the first
-// invalid one.
-func buildConfigs(configs []core.Config, opt Options) ([]core.Predictor, error) {
-	preds := make([]core.Predictor, len(configs))
+// validateConfigs checks every configuration, failing fast on the
+// first invalid one, so that no later Build of the batch can fail.
+func validateConfigs(configs []core.Config, opt Options) error {
 	for i, c := range configs {
-		p, err := c.Build()
-		if err != nil {
+		if err := c.Validate(); err != nil {
 			opt.Obs.AddFailed(1)
-			return nil, fmt.Errorf("sim: config %d: %w", i, err)
+			return fmt.Errorf("sim: config %d: %w", i, err)
 		}
-		preds[i] = p
 	}
-	return preds, nil
+	return nil
+}
+
+// buildConfig returns the predictor builder of a validated batch.
+func buildConfig(configs []core.Config) func(int) core.Predictor {
+	return func(i int) core.Predictor { return configs[i].MustBuild() }
 }
 
 // RunPredictors runs pre-built predictors over the trace in parallel.
@@ -263,6 +270,12 @@ func RunPredictors(preds []core.Predictor, t *trace.Trace, opt Options) []Metric
 // one chunk of per-worker work and leaves no goroutines behind
 // (workers exit through the same WaitGroup as a normal run).
 //
+// The predictors' memory placement is the caller's: predictors built
+// back to back on one goroutine sit side by side in memory, and when
+// they run on different workers, both cores write the cache lines
+// they share on every branch. RunConfigsCtx, whose workers build
+// their own predictors, avoids that.
+//
 // Partial-result contract: on cancellation the error is ctx.Err() and
 // the returned slice is still len(preds) long; entries for predictors
 // whose worker batch ran to completion before the cancel hold their
@@ -271,78 +284,89 @@ func RunPredictors(preds []core.Predictor, t *trace.Trace, opt Options) []Metric
 // zero Metrics. Chunk-shared execution advances a worker's whole batch
 // in lockstep, so a batch is either wholly complete or wholly absent.
 func RunPredictorsCtx(ctx context.Context, preds []core.Predictor, t *trace.Trace, opt Options) ([]Metrics, error) {
-	out := make([]Metrics, len(preds))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(preds) {
-		workers = len(preds)
-	}
-	if workers <= 1 {
-		if !runBatch(ctx, preds, t.Branches, opt, out) {
-			return out, ctx.Err()
-		}
-		return out, nil
-	}
-	// Strided assignment: worker w simulates predictors w, w+workers,
-	// ... so that sweeps enumerated small-to-large spread their heavy
-	// configurations across workers.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		batch := make([]core.Predictor, 0, (len(preds)+workers-1)/workers)
-		idx := make([]int, 0, cap(batch))
-		for i := w; i < len(preds); i += workers {
-			batch = append(batch, preds[i])
-			idx = append(idx, i)
-		}
-		wg.Add(1)
-		go func(batch []core.Predictor, idx []int) {
-			defer wg.Done()
-			res := make([]Metrics, len(batch))
-			if !runBatch(ctx, batch, t.Branches, opt, res) {
-				return // canceled: leave this batch's entries zero
-			}
-			for j, i := range idx {
-				out[i] = res[j]
-			}
-		}(batch, idx)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return runPartitions(ctx, len(preds), func(i int) core.Predictor { return preds[i] }, t.Branches, opt)
 }
 
-// runBatch simulates a batch of predictors over one branch stream,
-// chunk by chunk, writing out[i] for preds[i]. It checks ctx at every
-// chunk boundary and reports false without touching out when the
-// context is canceled mid-stream (a background context costs one nil
-// comparison per chunk).
-func runBatch(ctx context.Context, preds []core.Predictor, branches []trace.Branch, opt Options, out []Metrics) bool {
-	rs := make([]runner, len(preds))
-	for i, p := range preds {
-		rs[i] = newRunner(p, opt)
-	}
+// runPartitions runs predictors 0..n-1, made by pred, over branches:
+// one goroutine per strided partition (the caller's own goroutine
+// runs partition 0), each building its partition before it runs it.
+// Every partition checks ctx at each chunk boundary (a background
+// context costs one nil comparison per chunk) and leaves its entries
+// zero when canceled mid-stream.
+func runPartitions(ctx context.Context, n int, pred func(int) core.Predictor, branches []trace.Branch, opt Options) ([]Metrics, error) {
+	out := make([]Metrics, n)
 	step := chunkLen(opt)
 	done := ctx.Done()
-	for off := 0; off < len(branches); off += step {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
+	run := func(p *partition) {
+		p.build(n, pred, opt)
+		for off := 0; off < len(branches); off += step {
+			if done != nil {
+				select {
+				case <-done:
+					return
+				default:
+				}
 			}
+			p.feed(branches[off:min(off+step, len(branches))])
 		}
-		end := off + step
-		if end > len(branches) {
-			end = len(branches)
-		}
-		chunk := branches[off:end]
-		for i := range rs {
-			rs[i].feed(chunk)
-		}
+		p.finish(out)
 	}
-	for i := range rs {
-		out[i] = rs[i].finish()
+	parts := partitions(n)
+	var wg sync.WaitGroup
+	for w := 1; w < len(parts); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(&parts[w])
+		}()
 	}
-	return true
+	if len(parts) > 0 {
+		run(&parts[0])
+	}
+	wg.Wait()
+	return out, ctx.Err()
+}
+
+// partition is one worker's strided share of a batch of n predictors:
+// w, w+workers, ..., so that sweeps enumerated small-to-large spread
+// their heavy configurations across workers. The goroutine that runs
+// a partition builds its runners (and, for a config batch, its
+// predictors), so every byte it writes per branch comes from that
+// goroutine's allocations; rs itself is written once, at build.
+type partition struct {
+	w, workers int
+	rs         []runner
+}
+
+// partitions returns one partition per worker: GOMAXPROCS of them, or
+// n when that is fewer.
+func partitions(n int) []partition {
+	parts := make([]partition, min(runtime.GOMAXPROCS(0), n))
+	for w := range parts {
+		parts[w] = partition{w: w, workers: len(parts)}
+	}
+	return parts
+}
+
+// build makes a runner over pred(i) for each of the partition's
+// indices below n.
+func (p *partition) build(n int, pred func(int) core.Predictor, opt Options) {
+	p.rs = make([]runner, 0, (n-p.w+p.workers-1)/p.workers)
+	for i := p.w; i < n; i += p.workers {
+		p.rs = append(p.rs, newRunner(pred(i), opt))
+	}
+}
+
+// feed replays one chunk through every runner of the partition.
+func (p *partition) feed(chunk []trace.Branch) {
+	for i := range p.rs {
+		p.rs[i].feed(chunk)
+	}
+}
+
+// finish writes each runner's final Metrics to its index in out.
+func (p *partition) finish(out []Metrics) {
+	for j := range p.rs {
+		out[p.w+j*p.workers] = p.rs[j].finish()
+	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"runtime"
 
 	"bpred/internal/core"
 	"bpred/internal/trace"
@@ -21,6 +20,12 @@ import (
 // resident trace, the streaming path decodes each chunk once and
 // parallelizes across configs within it.
 //
+// As in RunConfigsCtx, every configuration is validated before any
+// goroutine starts, and each worker builds its own partition's
+// predictors: a stage builds them when its first window arrives. A
+// source with no records reaches no stage; the caller then builds
+// them, so every entry still carries its name.
+//
 // Cancellation is checked at chunk boundaries only (kernels stay
 // pure). On cancellation every returned entry is zero — a single
 // shared pass has no per-config completion order — and ctx.Err() is
@@ -29,16 +34,30 @@ import (
 // returns it holds no goroutine and never calls src again, so the
 // caller may close the source right away.
 func RunConfigsStream(ctx context.Context, configs []core.Config, src trace.BatchSource, opt Options) ([]Metrics, error) {
-	preds, err := buildConfigs(configs, opt)
-	if err != nil {
+	if err := validateConfigs(configs, opt); err != nil {
 		return nil, err
 	}
-	rs := make([]runner, len(preds))
-	for i, p := range preds {
-		rs[i] = newRunner(p, opt)
+	n, build := len(configs), buildConfig(configs)
+	parts := partitions(n)
+	// The caller decodes windows into a quarter of the chunk buffer
+	// each, and one trace.FanOut stage per partition feeds it every
+	// window, so the decode of the next windows overlaps the kernels
+	// running the earlier ones and no memory is added. Each config
+	// sees the windows in stream order, so results do not change.
+	stages := make([]func([]trace.Branch) error, len(parts))
+	for w := range stages {
+		p := &parts[w]
+		stages[w] = func(chunk []trace.Branch) error {
+			if p.rs == nil {
+				p.build(n, build, opt)
+			}
+			p.feed(chunk)
+			return nil
+		}
 	}
-	zero := make([]Metrics, len(preds))
-	if err := streamChunks(ctx, rs, src, opt); err != nil {
+	buf := make([]trace.Branch, max(chunkLen(opt), streamWindows))
+	zero := make([]Metrics, n)
+	if err := trace.FanOut(ctx, src, trace.Cut(buf, streamWindows), stages...); err != nil {
 		return zero, err
 	}
 	if es, ok := src.(interface{ Err() error }); ok {
@@ -46,38 +65,19 @@ func RunConfigsStream(ctx context.Context, configs []core.Config, src trace.Batc
 			return zero, err
 		}
 	}
-	out := make([]Metrics, len(rs))
-	for i := range rs {
-		out[i] = rs[i].finish()
+	out := make([]Metrics, n)
+	for w := range parts {
+		if parts[w].rs == nil { // no window reached this stage
+			parts[w].build(n, build, opt)
+		}
+		parts[w].finish(out)
 	}
 	return out, nil
 }
 
-// streamWindows is how many windows streamChunks cuts its chunk
+// streamWindows is how many windows RunConfigsStream cuts its chunk
 // buffer into. Two would be enough to decode one window ahead, but
 // with two the decode cannot start until the slowest worker releases
 // the older window; four let a worker run ahead of the others by up
 // to three windows, so the decode fills whichever CPU is free.
 const streamWindows = 4
-
-// streamChunks drives the decode loop through trace.FanOut: the
-// caller decodes windows into a quarter of the chunk buffer each, and
-// one stage goroutine per worker feeds every window to its strided
-// config partition (the same assignment RunPredictorsCtx uses), so the
-// decode of the next windows overlaps the kernels running the earlier
-// ones and no memory is added. Each config sees the windows in stream
-// order, so results do not change.
-func streamChunks(ctx context.Context, rs []runner, src trace.BatchSource, opt Options) error {
-	buf := make([]trace.Branch, max(chunkLen(opt), streamWindows))
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(rs)))
-	stages := make([]func([]trace.Branch) error, workers)
-	for w := range stages {
-		stages[w] = func(chunk []trace.Branch) error {
-			for i := w; i < len(rs); i += workers {
-				rs[i].feed(chunk)
-			}
-			return nil
-		}
-	}
-	return trace.FanOut(ctx, src, trace.Cut(buf, streamWindows), stages...)
-}

@@ -157,17 +157,27 @@ func (w *Writer2) WriteBatch(bs []Branch) error {
 		bs = bs[len(run):]
 		pcCol, tgtCol, takenCol := w.pcCol, w.tgtCol, w.takenCol
 		prev, i := w.prevPC, w.recs
+		// Outcomes gather eight to a byte in acc, so no branch depends
+		// on the trace's own outcomes; a partial last byte comes back
+		// off the column to be finished here.
+		var acc byte
+		if i%8 != 0 {
+			acc = takenCol[len(takenCol)-1]
+			takenCol = takenCol[:len(takenCol)-1]
+		}
 		for _, b := range run {
-			pcCol = binary.AppendVarint(pcCol, int64(b.PC-prev))
-			tgtCol = binary.AppendVarint(tgtCol, int64(b.Target-b.PC))
-			if i%8 == 0 {
-				takenCol = append(takenCol, 0)
-			}
-			if b.Taken {
-				takenCol[i/8] |= 1 << (i % 8)
-			}
+			pcCol = appendVarint(pcCol, int64(b.PC-prev))
+			tgtCol = appendVarint(tgtCol, int64(b.Target-b.PC))
+			acc |= b2u8(b.Taken) << (i & 7)
 			prev = b.PC
 			i++
+			if i%8 == 0 {
+				takenCol = append(takenCol, acc)
+				acc = 0
+			}
+		}
+		if i%8 != 0 {
+			takenCol = append(takenCol, acc)
 		}
 		w.pcCol, w.tgtCol, w.takenCol = pcCol, tgtCol, takenCol
 		w.prevPC, w.recs = prev, i
@@ -179,6 +189,28 @@ func (w *Writer2) WriteBatch(bs []Branch) error {
 		}
 	}
 	return nil
+}
+
+// appendVarint appends x as a zigzag varint. The one- and two-byte
+// forms, the bulk of PC deltas and target offsets, are written inline
+// (the mirror of varint12); longer ones go through binary.AppendUvarint.
+func appendVarint(col []byte, x int64) []byte {
+	u := uint64(x<<1) ^ uint64(x>>63)
+	if u < 1<<7 {
+		return append(col, byte(u))
+	}
+	if u < 1<<14 {
+		return append(col, byte(u)|0x80, byte(u>>7))
+	}
+	return binary.AppendUvarint(col, u)
+}
+
+// b2u8 converts a bool to 0/1 without a branch.
+func b2u8(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // flushBlock writes the accumulated block and resets the columns.
