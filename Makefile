@@ -53,9 +53,10 @@ serve-test:
 	$(GO) test -race ./internal/service/ ./cmd/bpserved/
 
 # cluster-test runs the distributed-sweep subsystem under the race
-# detector: ring/key/coordinator unit tests, the HTTP transport
-# end-to-end, and the failure-injection (chaos) scenarios, every one
-# of which must reproduce the single-node artifacts byte for byte.
+# detector: the coordinator's queue, chunk, lease and exactly-once
+# tests, the /next wire contract, the HTTP transport end to end, and
+# the failure-injection (chaos) scenarios, every one of which must
+# reproduce the single-node artifacts byte for byte.
 cluster-test:
 	$(GO) test -race -count=1 ./internal/cluster/
 
@@ -178,8 +179,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIndex2 -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s ./internal/checkpoint/
-	$(GO) test -run '^$$' -fuzz FuzzKeyCodec -fuzztime 10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointFileName -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDiffTAGE -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffPerceptron -fuzztime 10s ./internal/refmodel/diff/
 	$(GO) test -run '^$$' -fuzz FuzzDiffTournament -fuzztime 10s ./internal/refmodel/diff/

@@ -16,9 +16,10 @@
 //	bpserved -role worker -node w1 -join http://localhost:8149
 //	bpserved -role worker -node w2 -join http://localhost:8149
 //
-// The coordinator consistent-hashes the cells of every job across the
-// embedded worker and the joined ones; workers are stateless pullers
-// that dial in over HTTP — no inbound connectivity to them is needed.
+// The coordinator cuts each job tier's cells into one chunk per joined
+// worker on one queue, which the embedded worker and the joined ones
+// pull from; workers are stateless pullers that dial in over HTTP — no
+// inbound connectivity to them is needed.
 //
 // The chosen listen address is printed to stderr as
 // "bpserved: listening on ADDR" once the socket is bound, so wrappers
@@ -179,7 +180,7 @@ func runWorker(node, join, token string) int {
 		return 1
 	}
 	st := w.Stats()
-	fmt.Fprintf(os.Stderr, "bpserved: worker %s exiting (chunks %d, computed %d, local %d, replicas %d)\n",
-		node, st.ChunksRun, st.CellsComputed, st.CellsLocal, st.ReplicasInstalled)
+	fmt.Fprintf(os.Stderr, "bpserved: worker %s exiting (chunks %d, computed %d)\n",
+		node, st.ChunksRun, st.CellsComputed)
 	return 0
 }

@@ -321,70 +321,3 @@ func TestChaosDuplicateCompletions(t *testing.T) {
 	}
 	assertByteIdentity(t, coord, dir, tr, o, refCSV, refBPC)
 }
-
-// TestChaosReplicationDelayDrop degrades the replication channel —
-// one worker never receives replicas, one receives them late — and
-// shows replication is pure optimization: correctness and exactly-
-// once accounting hold regardless.
-func TestChaosReplicationDelayDrop(t *testing.T) {
-	tr := testTrace(t, 20000, 6)
-	o := chaosSweepOpts()
-	refCSV, refBPC := reference(t, tr, o)
-
-	dir := t.TempDir()
-	coord := NewCoordinator(Config{Dir: dir, ChunkCells: 3})
-	f := startFleet(t, coord, tracesFor(tr), []string{"drops", "delays", "clean"},
-		func(id string, l *chaosLink, w *Worker) {
-			switch id {
-			case "drops":
-				l.dropReplicas = true
-			case "delays":
-				l.holdReplicas = true
-			}
-		})
-
-	// Release the held replicas mid-sweep so the delayed batch lands
-	// while work is still flowing. (No t calls in here: this is not
-	// the test goroutine.)
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		deadline := time.Now().Add(60 * time.Second)
-		for time.Now().Before(deadline) {
-			if coord.Counters().Snapshot().ConfigsCompleted >= 15 {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		l := f.links["delays"]
-		l.mu.Lock()
-		l.holdReplicas = false
-		l.mu.Unlock()
-	}()
-
-	configs := sweep.Configs(o)
-	ms, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs, nil)
-	if err != nil {
-		t.Fatalf("RunCells: %v", err)
-	}
-	<-released
-	for i := range ms {
-		if ms[i].Name == "" {
-			t.Fatalf("cell %d unsettled", i)
-		}
-	}
-	if got := coord.Counters().Snapshot().ConfigsCompleted; got != uint64(len(configs)) {
-		t.Fatalf("ConfigsCompleted = %d, want exactly %d", got, len(configs))
-	}
-	// On one core a single worker can drain the whole sweep before its
-	// idle peers wake to pull their backlogs; wait for the drain.
-	waitUntil(t, 30*time.Second, "replicas to be sent", func() bool {
-		return coord.Stats().ReplicasSent > 0
-	})
-
-	f.stopAll()
-	if err := coord.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
-	assertByteIdentity(t, coord, dir, tr, o, refCSV, refBPC)
-}

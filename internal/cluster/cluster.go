@@ -2,19 +2,15 @@
 // plus N pull-based workers. Every bpserved runs one — a lone server
 // is a one-node cluster whose only worker is embedded in-process.
 // Sweep cells — the (trace digest, warmup, config fingerprint)
-// triples that key the BPC1 checkpoint cache — are consistent-hashed
-// across the worker fleet, the coordinator is the one exactly-once
-// layer (a cell is accepted into the authoritative ledger exactly
-// once, fleet-wide, no matter how many workers report it, and
-// concurrent callers wanting one cell subscribe to one execution),
-// and workers pull from per-node queues with work-stealing so one hot
-// sweep saturates every core on every node.
+// triples that key the BPC1 checkpoint cache — are cut into chunks
+// on one FIFO queue, and whichever worker asks next leases the oldest
+// chunk. The coordinator is the one exactly-once layer: a cell is
+// accepted into the authoritative ledger exactly once, fleet-wide, no
+// matter how many workers report it, and concurrent callers wanting
+// one cell subscribe to one execution.
 //
-// BPC1 checkpoints are the replication unit: the coordinator's
-// per-(trace, warmup) Store is the ledger of settled cells, settled
-// cells are pushed to the workers that did not compute them,
-// piggybacked on Next responses (best-effort cache warming, so any
-// node can serve any cached cell), and a worker crash loses at most
+// The coordinator's per-(trace, warmup) BPC1 Store is the ledger of
+// settled cells and the only cell cache; a worker crash loses at most
 // the one chunk it was executing — the coordinator re-queues it on
 // WorkerLeave or lease expiry.
 //
@@ -44,11 +40,11 @@ var ErrShutdown = errors.New("cluster: coordinator shut down")
 // re-Joins and retries.
 var ErrUnknownWorker = errors.New("cluster: unknown worker")
 
-// Chunk is the dispatch unit: one ring owner's share of one RunCells
-// call, split into slabs of Config.ChunkCells cells when that is set.
-// A worker executes a chunk atomically, in one simulation pass over
-// the trace — a crash mid-chunk loses at most this one chunk, which
-// the coordinator re-queues.
+// Chunk is the dispatch unit: one contiguous slice of one RunCells
+// call's fresh cells (Config.ChunkCells). A worker executes a chunk
+// atomically, in one simulation pass over the trace — a crash
+// mid-chunk loses at most this one chunk, which the coordinator
+// re-queues.
 type Chunk struct {
 	ID      uint64        `json:"id"`
 	Trace   string        `json:"trace"` // hex SHA-256 content digest
@@ -93,37 +89,17 @@ type ChunkResult struct {
 	Live bool `json:"-"`
 }
 
-// ReplicaCell is a settled cell pushed to workers piggybacked on Next
-// responses: best-effort replication of the BPC1 ledger, so a chunk
-// re-dispatched after a failure can be answered from a warm cache
-// instead of re-simulated.
-type ReplicaCell struct {
-	Trace       string      `json:"trace"`
-	Warmup      uint64      `json:"warmup"`
-	Fingerprint string      `json:"fingerprint"`
-	Metrics     sim.Metrics `json:"metrics"`
-}
-
-// Work is one Next response: an optional chunk to execute plus the
-// replication backlog accumulated since the worker's last pull. A
-// Work with a nil Chunk carries replication traffic only (or, on the
-// HTTP transport, a long-poll timeout).
-type Work struct {
-	Chunk    *Chunk        `json:"chunk,omitempty"`
-	Replicas []ReplicaCell `json:"replicas,omitempty"`
-}
-
 // CoordinatorClient is the worker's view of the coordinator. The
 // Coordinator implements it directly (in-process transport),
 // HTTPClient implements it over the wire, and the chaos harness wraps
 // either to inject partitions, duplicated deliveries, and crashes.
 type CoordinatorClient interface {
-	// Join registers the worker (idempotent) and adds it to the
-	// consistent-hash ring.
+	// Join registers the worker (idempotent).
 	Join(ctx context.Context, workerID string) error
-	// Next blocks until the coordinator has work for workerID or ctx
-	// ends.
-	Next(ctx context.Context, workerID string) (Work, error)
+	// Next blocks until the coordinator has a chunk for workerID or
+	// ctx ends. A nil chunk with a nil error (an HTTP long-poll
+	// timeout) means "ask again".
+	Next(ctx context.Context, workerID string) (*Chunk, error)
 	// Complete delivers a chunk's results. It is idempotent: cells
 	// already settled are silently deduplicated, and results are
 	// accepted even from workers the coordinator no longer knows

@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +32,29 @@ func runCtx(t *testing.T) context.Context {
 // never run the simulator.
 func fakeCell(fp string) CellResult {
 	return CellResult{Fingerprint: fp, Metrics: sim.Metrics{Name: "fake", Branches: 1}}
+}
+
+// fakeResult fabricates a completion settling configs under chunk id.
+func fakeResult(id uint64, trace string, warmup uint64, configs []core.Config) ChunkResult {
+	res := ChunkResult{Chunk: id, Trace: trace, Warmup: warmup}
+	for _, cfg := range configs {
+		res.Cells = append(res.Cells, fakeCell(cfg.Fingerprint()))
+	}
+	return res
+}
+
+// pullAndComplete leases the next chunk as workerID and completes it
+// with fake cells, as a worker that never runs the simulator would.
+func pullAndComplete(t *testing.T, coord *Coordinator, workerID string) *Chunk {
+	t.Helper()
+	ch, err := coord.Next(runCtx(t), workerID)
+	if err != nil || ch == nil {
+		t.Fatalf("Next = %+v, %v; want a chunk", ch, err)
+	}
+	if err := coord.Complete(context.Background(), workerID, fakeResult(ch.ID, ch.Trace, ch.Warmup, ch.Configs)); err != nil {
+		t.Fatalf("Complete: %v", err)
+	}
+	return ch
 }
 
 func TestClusterMatchesSingleNode(t *testing.T) {
@@ -69,15 +94,6 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Fatalf("fleet computed %d cells, want %d (no failures were injected)", computed, len(configs))
 	}
 
-	// Piggybacked replication reached the non-computing peers.
-	waitUntil(t, 30*time.Second, "replicas to install", func() bool {
-		var n uint64
-		for _, w := range f.workers {
-			n += w.Stats().ReplicasInstalled
-		}
-		return n > 0
-	})
-
 	// A second pass is served wholly from the ledger.
 	before := coord.Counters().Snapshot().ConfigsCached
 	ms2, err := coord.RunCells(runCtx(t), tr.Digest(), uint64(o.Sim.Warmup), configs, nil)
@@ -105,8 +121,9 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 }
 
 // TestWorkStealing drives the coordinator directly as a single greedy
-// worker: chunks routed to an idle peer must come off that peer's
-// queue tail as steals.
+// worker next to a registered idle peer: with one queue there is no
+// per-worker share, so the busy worker drains every chunk and the idle
+// peer strands none.
 func TestWorkStealing(t *testing.T) {
 	coord := NewCoordinator(Config{ChunkCells: 1})
 	defer coord.Stop()
@@ -126,34 +143,16 @@ func TestWorkStealing(t *testing.T) {
 		done <- err
 	}()
 
-	// Only "b" ever pulls; "a" is registered but idle, so its share of
-	// the ring's chunks is only reachable by stealing.
+	// Only "b" ever pulls; "a" is registered but idle.
 	settled := 0
 	for settled < len(configs) {
-		w, err := coord.Next(ctx, "b")
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if w.Chunk == nil {
-			continue
-		}
-		res := ChunkResult{Chunk: w.Chunk.ID, Trace: w.Chunk.Trace, Warmup: w.Chunk.Warmup}
-		for _, cfg := range w.Chunk.Configs {
-			res.Cells = append(res.Cells, fakeCell(cfg.Fingerprint()))
-		}
-		if err := coord.Complete(ctx, "b", res); err != nil {
-			t.Fatalf("Complete: %v", err)
-		}
-		settled += len(w.Chunk.Configs)
+		ch := pullAndComplete(t, coord, "b")
+		settled += len(ch.Configs)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("RunCells: %v", err)
 	}
-	st := coord.Stats()
-	if st.Steals == 0 {
-		t.Fatal("idle peer's chunks were drained without a single steal")
-	}
-	if st.ChunksDispatched != uint64(len(configs)) {
+	if st := coord.Stats(); st.ChunksDispatched != uint64(len(configs)) {
 		t.Fatalf("ChunksDispatched = %d, want %d (ChunkCells=1, no requeues)", st.ChunksDispatched, len(configs))
 	}
 }
@@ -176,38 +175,149 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 
 	// Lease the single chunk and sit on it: the reaper must take it
 	// back.
-	w, err := coord.Next(ctx, "w1")
+	ch, err := coord.Next(ctx, "w1")
 	if err != nil {
 		t.Fatalf("Next: %v", err)
 	}
-	if w.Chunk == nil {
+	if ch == nil {
 		t.Fatal("Next returned no chunk")
 	}
-	first := w.Chunk.ID
 	waitUntil(t, 30*time.Second, "lease to expire", func() bool {
 		return coord.Stats().Requeues >= 1
 	})
 
 	// The reclaimed chunk is redelivered — same ID, same cells.
-	w2, err := coord.Next(ctx, "w1")
-	if err != nil {
-		t.Fatalf("second Next: %v", err)
-	}
-	if w2.Chunk == nil || w2.Chunk.ID != first {
-		t.Fatalf("redelivery = %+v, want chunk %d again", w2.Chunk, first)
-	}
-	res := ChunkResult{Chunk: first, Trace: w2.Chunk.Trace, Warmup: w2.Chunk.Warmup}
-	for _, cfg := range w2.Chunk.Configs {
-		res.Cells = append(res.Cells, fakeCell(cfg.Fingerprint()))
-	}
-	if err := coord.Complete(ctx, "w1", res); err != nil {
-		t.Fatalf("Complete: %v", err)
+	if again := pullAndComplete(t, coord, "w1"); again.ID != ch.ID || len(again.Configs) != len(ch.Configs) {
+		t.Fatalf("redelivery = %+v, want chunk %d again", again, ch.ID)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("RunCells: %v", err)
 	}
 	if got := coord.Counters().Snapshot().ConfigsCompleted; got != uint64(len(configs)) {
 		t.Fatalf("ConfigsCompleted = %d, want %d", got, len(configs))
+	}
+}
+
+// TestLeaseUnderTwoNanoseconds runs the reaper at its tick floor: a
+// 1 ns lease halves to a zero tick, which must neither crash the
+// coordinator nor stop it re-queuing a held chunk or shutting down.
+func TestLeaseUnderTwoNanoseconds(t *testing.T) {
+	coord := NewCoordinator(Config{LeaseTimeout: 1})
+	ctx := runCtx(t)
+	if err := coord.Join(ctx, "w1"); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	configs := sweep.Configs(sweep.Options{Scheme: core.SchemeGShare, Tiers: []int{4}})
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCells(ctx, testDigest(9), 0, configs, nil)
+		done <- err
+	}()
+	if ch, err := coord.Next(ctx, "w1"); err != nil || ch == nil {
+		t.Fatalf("Next = %+v, %v; want a chunk", ch, err)
+	}
+	waitUntil(t, 30*time.Second, "the held chunk to be re-queued", func() bool {
+		return coord.Stats().Requeues >= 1
+	})
+	pullAndComplete(t, coord, "w1")
+	if err := <-done; err != nil {
+		t.Fatalf("RunCells: %v", err)
+	}
+	if err := coord.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	if _, err := coord.Next(ctx, "w1"); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("Next after Stop: %v, want ErrShutdown", err)
+	}
+}
+
+// TestDispatchTrimsSettledCells settles half of a queued chunk's cells
+// with a completion from another coordinator incarnation before any
+// worker pulls it: dispatch must hand out only the unsettled half, so
+// no worker re-runs a settled cell and no duplicate reaches the
+// ledger.
+func TestDispatchTrimsSettledCells(t *testing.T) {
+	coord := NewCoordinator(Config{})
+	defer coord.Stop()
+	ctx := runCtx(t)
+	if err := coord.Join(ctx, "w1"); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	var configs []core.Config
+	for rows := 0; rows < 6; rows++ {
+		configs = append(configs, core.Config{Scheme: core.SchemeGShare, RowBits: rows, ColBits: 4})
+	}
+	d := testDigest(8)
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCells(ctx, d, 0, configs, nil)
+		done <- err
+	}()
+	waitUntil(t, 30*time.Second, "the chunk to be queued", func() bool {
+		return coord.CellsInFlight() == len(configs)
+	})
+
+	stale := fakeResult((coord.Incarnation()+1)<<32|1, hex.EncodeToString(d[:]), 0, configs[:3])
+	if err := coord.Complete(ctx, "zombie", stale); err != nil {
+		t.Fatalf("stale Complete: %v", err)
+	}
+	ch := pullAndComplete(t, coord, "w1")
+	if len(ch.Configs) != 3 {
+		t.Fatalf("dispatched %d cells, want the 3 unsettled ones", len(ch.Configs))
+	}
+	for i, cfg := range ch.Configs {
+		if cfg != configs[3+i] {
+			t.Fatalf("dispatched cell %d = %+v, want %+v", i, cfg, configs[3+i])
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("RunCells: %v", err)
+	}
+	st := coord.Stats()
+	if st.DupCells != 0 || st.StaleCompletions != 1 {
+		t.Fatalf("DupCells = %d, StaleCompletions = %d; want 0 and 1", st.DupCells, st.StaleCompletions)
+	}
+	if got := coord.Counters().Snapshot().ConfigsCompleted; got != uint64(len(configs)) {
+		t.Fatalf("ConfigsCompleted = %d, want %d", got, len(configs))
+	}
+}
+
+// TestCallSplitsAcrossWorkers pins the chunk rule with ChunkCells
+// zero: one call's fresh cells become one contiguous chunk per joined
+// worker, ⌈n/W⌉ cells each, dispatched oldest first.
+func TestCallSplitsAcrossWorkers(t *testing.T) {
+	coord := NewCoordinator(Config{})
+	defer coord.Stop()
+	ctx := runCtx(t)
+	for _, id := range []string{"w1", "w2", "w3"} {
+		if err := coord.Join(ctx, id); err != nil {
+			t.Fatalf("Join %s: %v", id, err)
+		}
+	}
+	var configs []core.Config
+	for rows := 0; rows < 10; rows++ {
+		configs = append(configs, core.Config{Scheme: core.SchemeGShare, RowBits: rows, ColBits: 4})
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCells(ctx, testDigest(10), 0, configs, nil)
+		done <- err
+	}()
+	var got []core.Config
+	var sizes []int
+	for _, id := range []string{"w2", "w2", "w3"} {
+		ch := pullAndComplete(t, coord, id)
+		got = append(got, ch.Configs...)
+		sizes = append(sizes, len(ch.Configs))
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("RunCells: %v", err)
+	}
+	if !slices.Equal(sizes, []int{4, 4, 2}) {
+		t.Fatalf("chunk sizes = %v, want [4 4 2]", sizes)
+	}
+	if !slices.Equal(got, configs) {
+		t.Fatalf("chunks hold %+v, want the call's cells in order", got)
 	}
 }
 
@@ -305,7 +415,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	coord := NewCoordinator(Config{Dir: dir, ChunkCells: 3})
 	d := tr.Digest()
-	hexDigest := Key{Digest: d}.String()[:64]
+	hexDigest := hex.EncodeToString(d[:])
 	srv := httptest.NewServer(Handler(coord, memOpener{hexDigest: encodeBPT1(t, tr)}))
 	defer srv.Close()
 
@@ -375,20 +485,15 @@ func TestDuplicateDeliveryMergesProgressOnce(t *testing.T) {
 		done <- err
 	}()
 
-	w, err := coord.Next(ctx, "w1")
+	ch, err := coord.Next(ctx, "w1")
 	if err != nil {
 		t.Fatalf("Next: %v", err)
 	}
-	if w.Chunk == nil || len(w.Chunk.Configs) != len(configs) {
-		t.Fatalf("Next = %+v, want one chunk of all %d cells", w.Chunk, len(configs))
+	if ch == nil || len(ch.Configs) != len(configs) {
+		t.Fatalf("Next = %+v, want one chunk of all %d cells", ch, len(configs))
 	}
-	res := ChunkResult{
-		Chunk: w.Chunk.ID, Trace: w.Chunk.Trace, Warmup: w.Chunk.Warmup,
-		Progress: obs.Snapshot{Branches: 1000, Chunks: 3},
-	}
-	for _, cfg := range w.Chunk.Configs {
-		res.Cells = append(res.Cells, fakeCell(cfg.Fingerprint()))
-	}
+	res := fakeResult(ch.ID, ch.Trace, ch.Warmup, ch.Configs)
+	res.Progress = obs.Snapshot{Branches: 1000, Chunks: 3}
 	if err := coord.Complete(ctx, "w1", res); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}

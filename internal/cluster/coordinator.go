@@ -26,30 +26,18 @@ type Config struct {
 	// memory only (tests). No other live Store may open a file here,
 	// per checkpoint's one-Store-per-path rule.
 	Dir string
-	// ChunkCells, when positive, caps the cells per dispatch chunk.
-	// Zero makes one RunCells call's cells for one ring owner a
-	// single chunk, so a one-worker fleet runs each call in one
-	// simulation pass over the trace. Smaller chunks bound the work a
-	// crash loses and give stealing finer grain; larger ones let one
-	// chunk-shared pass feed more configurations.
+	// ChunkCells, when positive, is the cells per dispatch chunk.
+	// Zero splits one RunCells call's fresh cells into one contiguous
+	// chunk per joined worker, so a one-worker fleet runs each call in
+	// one simulation pass over the trace. Smaller chunks bound the
+	// work a crash loses; larger ones let one chunk-shared pass feed
+	// more configurations.
 	ChunkCells int
-	// Vnodes is the virtual-node count per worker on the hash ring
-	// (default DefaultVnodes).
-	Vnodes int
 	// LeaseTimeout, when positive, re-queues a dispatched chunk whose
 	// completion has not arrived within the timeout — liveness under
 	// silent worker death on the HTTP transport. Zero disables the
 	// reaper; in-process deployments signal death via WorkerLeave.
 	LeaseTimeout time.Duration
-	// Incarnation distinguishes this coordinator's chunk IDs from
-	// those of earlier coordinators over the same deployment: chunk
-	// IDs are incarnation<<32 | sequence, so a completion held in
-	// flight across a coordinator restart can never collide with a
-	// young chunk ID the restarted coordinator re-issued (DESIGN.md
-	// §11's known limitation, now closed). Zero derives it
-	// automatically: from a persisted counter under Dir when Dir is
-	// set (each NewCoordinator increments it), else 1.
-	Incarnation uint64
 	// PublishName, when non-empty, publishes the coordinator's
 	// counters under this name (obs.Published, the /metrics page).
 	PublishName string
@@ -59,9 +47,6 @@ type Config struct {
 type Stats struct {
 	// ChunksDispatched counts Next responses that carried a chunk.
 	ChunksDispatched uint64
-	// Steals counts chunks a worker pulled from another worker's
-	// queue.
-	Steals uint64
 	// Requeues counts chunks re-queued after worker death or lease
 	// expiry.
 	Requeues uint64
@@ -69,9 +54,6 @@ type Stats struct {
 	// already settled them (duplicated deliveries, re-executed
 	// chunks).
 	DupCells uint64
-	// ReplicasSent counts replica cells piggybacked onto Next
-	// responses.
-	ReplicasSent uint64
 	// FlushErrors counts checkpoint flush failures. The cells stay
 	// authoritative in memory, the RunCells calls waiting on them
 	// fail, and the flush retries on the next RunCells or acceptance
@@ -86,7 +68,7 @@ type Stats struct {
 }
 
 // Coordinator owns the single-flight ledger: the set of settled cells
-// (backed by BPC1 checkpoint stores) plus the queues of chunks in
+// (backed by BPC1 checkpoint stores) plus the queue of chunks in
 // flight. A cell is accepted — counted into ConfigsCompleted and made
 // visible to sweeps — exactly once, however many workers report it;
 // execution is at-least-once only across failures (a chunk whose
@@ -103,31 +85,20 @@ type Coordinator struct {
 	cond     *sync.Cond
 	closed   bool                         //bplint:guardedby mu
 	nextID   uint64                       //bplint:guardedby mu
-	ring     *Ring                        //bplint:guardedby mu
-	workers  map[string]*workerState      //bplint:guardedby mu
-	global   []*chunkState                //bplint:guardedby mu // chunks with no ring owner (empty fleet)
+	workers  map[string]bool              //bplint:guardedby mu // joined worker IDs
+	queue    []*chunkState                //bplint:guardedby mu // undispatched chunks, oldest first
 	pending  map[uint64]*chunkState       //bplint:guardedby mu // dispatched, awaiting completion
-	cells    map[string]*cellWait         //bplint:guardedby mu // unsettled cells by Key.String()
+	cells    map[Key]*cellWait            //bplint:guardedby mu // unsettled cells
 	stores   map[string]*checkpoint.Store //bplint:guardedby mu // "digest|warmup" -> authoritative ledger
 	stats    Stats                        //bplint:guardedby mu
 	stopReap chan struct{}
 }
 
-type workerState struct {
-	id       string
-	queue    []*chunkState
-	backlog  []ReplicaCell
-	lastSeen time.Time
-}
-
 type chunkState struct {
 	chunk    Chunk
 	store    *checkpoint.Store
-	routeKey string // first cell's Key.String(), the ring placement key
 	assigned string // worker currently leasing it ("" = queued)
 	deadline time.Time
-	settled  bool          // reported, or found fully cached at dispatch
-	cnt      *obs.Counters // the enqueuing caller's, credited with the chunk's worker progress
 }
 
 type cellWait struct {
@@ -140,17 +111,13 @@ type cellWait struct {
 // and release waiters.
 func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
-		cfg:     cfg,
-		cnt:     &obs.Counters{},
-		ring:    NewRing(cfg.Vnodes),
-		workers: make(map[string]*workerState),
-		pending: make(map[uint64]*chunkState),
-		cells:   make(map[string]*cellWait),
-		stores:  make(map[string]*checkpoint.Store),
-	}
-	c.incarnation = cfg.Incarnation
-	if c.incarnation == 0 {
-		c.incarnation = nextIncarnation(cfg.Dir)
+		cfg:         cfg,
+		cnt:         &obs.Counters{},
+		incarnation: nextIncarnation(cfg.Dir),
+		workers:     make(map[string]bool),
+		pending:     make(map[uint64]*chunkState),
+		cells:       make(map[Key]*cellWait),
+		stores:      make(map[string]*checkpoint.Store),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	if cfg.PublishName != "" {
@@ -166,8 +133,10 @@ func NewCoordinator(cfg Config) *Coordinator {
 // nextIncarnation derives a fresh coordinator incarnation: a counter
 // persisted under dir, incremented on every coordinator start, so
 // successive coordinators over one deployment never share chunk-ID
-// tags. Without a directory (in-memory deployments) there is nothing
-// to survive a restart into, so the incarnation is a constant 1.
+// tags — a completion held in flight across a coordinator restart
+// can never collide with a chunk ID the successor issued. Without a
+// directory (in-memory deployments) there is nothing to survive a
+// restart into, so the incarnation is a constant 1.
 func nextIncarnation(dir string) uint64 {
 	if dir == "" {
 		return 1
@@ -257,9 +226,9 @@ func (c *Coordinator) storeForLocked(digest [32]byte, warmup uint64) (*checkpoin
 // RunCells evaluates configs against (digest, warmup) across the
 // fleet and returns metrics aligned with configs. Settled cells are
 // served from the ledger (counted ConfigsCached); missing cells are
-// chunked, routed by ring ownership, and waited on. Concurrent
-// RunCells calls wanting the same cell subscribe to one execution —
-// the single-flight.
+// chunked onto the queue and waited on. Concurrent RunCells calls
+// wanting the same cell subscribe to one execution — the
+// single-flight.
 //
 // cnt, when non-nil, is credited as the caller's own counters: a
 // cell this call enqueued counts ConfigsCompleted once it settles, a
@@ -301,7 +270,6 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 		return out, err
 	}
 	var fresh []core.Config
-	var freshKeys []string
 	for i, cfg := range configs {
 		fp := cfg.Fingerprint()
 		if m, ok := store.Lookup(fp); ok {
@@ -310,7 +278,7 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 			got.ConfigsCached++
 			continue
 		}
-		key := Key{Digest: digest, Warmup: warmup, Fingerprint: fp}.String()
+		key := Key{Digest: digest, Warmup: warmup, Fingerprint: fp}
 		if w, ok := c.cells[key]; ok {
 			subs = append(subs, sub{i: i, w: w})
 			continue
@@ -319,10 +287,9 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 		c.cells[key] = w
 		subs = append(subs, sub{i: i, w: w, own: true})
 		fresh = append(fresh, cfg)
-		freshKeys = append(freshKeys, key)
 	}
 	if len(fresh) > 0 {
-		c.enqueueLocked(store, digest, warmup, fresh, freshKeys, cnt)
+		c.enqueueLocked(store, digest, warmup, fresh, cnt)
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
@@ -360,64 +327,31 @@ func (c *Coordinator) RunCells(ctx context.Context, digest [32]byte, warmup uint
 	return out, nil
 }
 
-// enqueueLocked chunks fresh cells by ring owner and pushes the
-// chunks onto the owners' queues (ring affinity keeps a worker's warm
-// replica cache relevant; stealing rebalances load afterwards).
-func (c *Coordinator) enqueueLocked(store *checkpoint.Store, digest [32]byte, warmup uint64, configs []core.Config, keys []string, cnt *obs.Counters) {
+// enqueueLocked cuts fresh cells into contiguous chunks — one per
+// joined worker, or Config.ChunkCells cells each — and appends them
+// to the queue.
+func (c *Coordinator) enqueueLocked(store *checkpoint.Store, digest [32]byte, warmup uint64, configs []core.Config, cnt *obs.Counters) {
+	size := c.cfg.ChunkCells
+	if size <= 0 {
+		w := max(len(c.workers), 1)
+		size = (len(configs) + w - 1) / w
+	}
 	hexDigest := hex.EncodeToString(digest[:])
-	type group struct {
-		cfgs []core.Config
-		keys []string
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for i, cfg := range configs {
-		owner, _ := c.ring.Owner(keys[i]) // "" routes to the global queue
-		g := groups[owner]
-		if g == nil {
-			g = &group{}
-			groups[owner] = g
-			order = append(order, owner)
-		}
-		g.cfgs = append(g.cfgs, cfg)
-		g.keys = append(g.keys, keys[i])
-	}
-	sort.Strings(order) // deterministic chunk numbering
-	for _, owner := range order {
-		g := groups[owner]
-		size := c.cfg.ChunkCells
-		if size <= 0 {
-			size = len(g.cfgs)
-		}
-		for lo := 0; lo < len(g.cfgs); lo += size {
-			hi := min(lo+size, len(g.cfgs))
-			cs := &chunkState{
-				chunk: Chunk{
-					ID:      c.chunkIDLocked(),
-					Trace:   hexDigest,
-					Warmup:  warmup,
-					Configs: append([]core.Config(nil), g.cfgs[lo:hi]...),
-				},
-				store:    store,
-				routeKey: g.keys[lo],
-				cnt:      cnt,
-			}
-			c.pushLocked(owner, cs)
-		}
+	for lo := 0; lo < len(configs); lo += size {
+		c.queue = append(c.queue, &chunkState{
+			chunk: Chunk{
+				ID:      c.chunkIDLocked(),
+				Trace:   hexDigest,
+				Warmup:  warmup,
+				Configs: configs[lo:min(lo+size, len(configs))],
+				Obs:     cnt,
+			},
+			store: store,
+		})
 	}
 }
 
-func (c *Coordinator) pushLocked(owner string, cs *chunkState) {
-	if w, ok := c.workers[owner]; ok {
-		w.queue = append(w.queue, cs)
-		return
-	}
-	c.global = append(c.global, cs)
-}
-
-// Join implements CoordinatorClient: it registers the worker, adds it
-// to the ring, and re-routes queued chunks the new membership assigns
-// elsewhere.
+// Join implements CoordinatorClient: it registers the worker.
 func (c *Coordinator) Join(ctx context.Context, workerID string) error {
 	_ = ctx
 	if workerID == "" {
@@ -428,79 +362,41 @@ func (c *Coordinator) Join(ctx context.Context, workerID string) error {
 	if c.closed {
 		return ErrShutdown
 	}
-	if _, ok := c.workers[workerID]; ok {
-		return nil
-	}
-	c.workers[workerID] = &workerState{id: workerID, lastSeen: obs.Now()}
-	c.ring.Add(workerID)
-	c.rebalanceLocked()
-	c.cond.Broadcast()
+	c.workers[workerID] = true
 	return nil
 }
 
-// WorkerLeave deregisters a worker: its ring points disappear, its
-// in-flight leases are reclaimed, and its queued chunks are re-routed
-// to the survivors. A completion the dead worker still manages to
-// deliver later is accepted and deduplicated like any other.
+// WorkerLeave deregisters a worker and re-queues its in-flight
+// leases. A completion the dead worker still manages to deliver later
+// is accepted and deduplicated like any other.
 func (c *Coordinator) WorkerLeave(workerID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w, ok := c.workers[workerID]
-	if !ok {
+	if !c.workers[workerID] {
 		return
 	}
 	delete(c.workers, workerID)
-	c.ring.Remove(workerID)
 	for id, cs := range c.pending {
 		if cs.assigned == workerID {
-			delete(c.pending, id)
-			cs.assigned = ""
-			c.stats.Requeues++
-			c.routeLocked(cs)
+			c.requeueLocked(id, cs)
 		}
-	}
-	for _, cs := range w.queue {
-		c.routeLocked(cs)
 	}
 	c.cond.Broadcast()
 }
 
-// routeLocked pushes a chunk onto its ring owner's queue.
-func (c *Coordinator) routeLocked(cs *chunkState) {
-	owner, _ := c.ring.Owner(cs.routeKey)
-	c.pushLocked(owner, cs)
+// requeueLocked takes a lease back and puts its chunk at the tail of
+// the queue, under the same chunk ID.
+func (c *Coordinator) requeueLocked(id uint64, cs *chunkState) {
+	delete(c.pending, id)
+	cs.assigned = ""
+	c.stats.Requeues++
+	c.queue = append(c.queue, cs)
 }
 
-// rebalanceLocked re-routes every queued (unleased) chunk under the
-// current ring membership.
-func (c *Coordinator) rebalanceLocked() {
-	all := c.global
-	c.global = nil
-	for _, id := range c.workerIDsLocked() {
-		w := c.workers[id]
-		all = append(all, w.queue...)
-		w.queue = nil
-	}
-	for _, cs := range all {
-		c.routeLocked(cs)
-	}
-}
-
-func (c *Coordinator) workerIDsLocked() []string {
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Next implements CoordinatorClient: it blocks until the coordinator
-// has work for workerID or ctx ends. Replication backlog is always
-// drained into the response; a chunk comes from the worker's own
-// queue first, then the ownerless global queue, then — work stealing
-// — the tail of the longest peer queue.
-func (c *Coordinator) Next(ctx context.Context, workerID string) (Work, error) {
+// Next implements CoordinatorClient: it blocks until the queue holds
+// a chunk with unsettled cells or ctx ends, and leases the oldest
+// such chunk to workerID.
+func (c *Coordinator) Next(ctx context.Context, workerID string) (*Chunk, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	stop := context.AfterFunc(ctx, func() {
@@ -511,110 +407,48 @@ func (c *Coordinator) Next(ctx context.Context, workerID string) (Work, error) {
 	defer stop()
 	for {
 		if c.closed {
-			return Work{}, ErrShutdown
+			return nil, ErrShutdown
 		}
 		if err := ctx.Err(); err != nil {
-			return Work{}, err
+			return nil, err
 		}
-		w, ok := c.workers[workerID]
-		if !ok {
-			return Work{}, ErrUnknownWorker
+		if !c.workers[workerID] {
+			return nil, ErrUnknownWorker
 		}
-		w.lastSeen = obs.Now()
-		var work Work
-		work.Replicas = w.backlog
-		w.backlog = nil
-		c.stats.ReplicasSent += uint64(len(work.Replicas))
-		if cs, stolen := c.popLocked(w); cs != nil {
+		for len(c.queue) > 0 {
+			cs := c.queue[0]
+			c.queue = c.queue[1:]
+			if !c.trimLocked(cs) {
+				continue
+			}
 			cs.assigned = workerID
 			if c.cfg.LeaseTimeout > 0 {
 				cs.deadline = obs.Now().Add(c.cfg.LeaseTimeout)
 			}
 			c.pending[cs.chunk.ID] = cs
 			c.stats.ChunksDispatched++
-			if stolen {
-				c.stats.Steals++
-			}
 			chunk := cs.chunk
-			chunk.Obs = cs.cnt
-			work.Chunk = &chunk
-			return work, nil
-		}
-		if len(work.Replicas) > 0 {
-			return work, nil
+			return &chunk, nil
 		}
 		c.cond.Wait()
 	}
 }
 
-// popLocked pops the next dispatchable chunk for w; stolen reports
-// whether it came from a peer's queue.
-func (c *Coordinator) popLocked(w *workerState) (cs *chunkState, stolen bool) {
-	if cs = c.popFrontLocked(&w.queue); cs != nil {
-		return cs, false
-	}
-	if cs = c.popFrontLocked(&c.global); cs != nil {
-		return cs, false
-	}
-	// Steal from the tail of the longest peer queue (ties broken by
-	// name for determinism); tails are the chunks the owner would
-	// reach last, so affinity is disturbed least.
-	var victim *workerState
-	for _, id := range c.workerIDsLocked() {
-		p := c.workers[id]
-		if p == w || len(p.queue) == 0 {
-			continue
-		}
-		if victim == nil || len(p.queue) > len(victim.queue) {
-			victim = p
-		}
-	}
-	if victim == nil {
-		return nil, false
-	}
-	if cs = c.popBackLocked(&victim.queue); cs != nil {
-		return cs, true
-	}
-	return nil, false
-}
-
-func (c *Coordinator) popFrontLocked(q *[]*chunkState) *chunkState {
-	for len(*q) > 0 {
-		cs := (*q)[0]
-		*q = (*q)[1:]
-		if c.dispatchableLocked(cs) {
-			return cs
-		}
-	}
-	return nil
-}
-
-func (c *Coordinator) popBackLocked(q *[]*chunkState) *chunkState {
-	for len(*q) > 0 {
-		cs := (*q)[len(*q)-1]
-		*q = (*q)[:len(*q)-1]
-		if c.dispatchableLocked(cs) {
-			return cs
-		}
-	}
-	return nil
-}
-
-// dispatchableLocked reports whether a chunk still has unsettled
-// cells. A chunk re-queued after a presumed worker death whose
-// original lease then completed is fully settled; it is dropped here
-// instead of being re-executed.
-func (c *Coordinator) dispatchableLocked(cs *chunkState) bool {
-	if cs.settled {
-		return false
-	}
+// trimLocked narrows a queued chunk to its still-unsettled cells and
+// reports whether any remain. A chunk re-queued after a presumed
+// worker death whose original lease then completed, or one whose
+// cells another delivery settled meanwhile, is trimmed here instead
+// of re-executed. The survivors go into a fresh slice, because an
+// in-process worker may still hold the earlier lease's Configs.
+func (c *Coordinator) trimLocked(cs *chunkState) bool {
+	left := make([]core.Config, 0, len(cs.chunk.Configs))
 	for _, cfg := range cs.chunk.Configs {
 		if _, ok := cs.store.Lookup(cfg.Fingerprint()); !ok {
-			return true
+			left = append(left, cfg)
 		}
 	}
-	cs.settled = true
-	return false
+	cs.chunk.Configs = left
+	return len(left) > 0
 }
 
 // Complete implements CoordinatorClient: it folds a chunk's results
@@ -638,9 +472,6 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 	if err != nil {
 		return err
 	}
-	if w, ok := c.workers[workerID]; ok {
-		w.lastSeen = obs.Now()
-	}
 	// A completion minted by another incarnation (held in flight
 	// across a coordinator restart) can settle no lease here — its ID
 	// cannot collide with any this coordinator issued. Its cells are
@@ -660,11 +491,10 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 	// returns.
 	if cs, ok := c.pending[res.Chunk]; ok {
 		delete(c.pending, res.Chunk)
-		cs.settled = true
 		p := obs.Snapshot{Branches: res.Progress.Branches, Chunks: res.Progress.Chunks}
 		c.cnt.Merge(p)
 		if !res.Live {
-			cs.cnt.Merge(p)
+			cs.chunk.Obs.Merge(p)
 		}
 	}
 	accepted := 0
@@ -677,18 +507,11 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 		store.Add(cell.Fingerprint, cell.Metrics)
 		c.cnt.AddCompleted(1)
 		accepted++
-		key := Key{Digest: digest, Warmup: res.Warmup, Fingerprint: cell.Fingerprint}.String()
+		key := Key{Digest: digest, Warmup: res.Warmup, Fingerprint: cell.Fingerprint}
 		if cw, ok := c.cells[key]; ok {
 			cw.m = cell.Metrics
 			woken = append(woken, cw)
 			delete(c.cells, key)
-		}
-		rep := ReplicaCell{Trace: res.Trace, Warmup: res.Warmup, Fingerprint: cell.Fingerprint, Metrics: cell.Metrics}
-		for id, ws := range c.workers {
-			if id == workerID {
-				continue // the sender computed it
-			}
-			ws.backlog = append(ws.backlog, rep)
 		}
 	}
 	if accepted > 0 {
@@ -702,7 +525,6 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 				cw.err = err
 			}
 		}
-		c.cond.Broadcast() // replica backlogs may now unblock idle pulls
 	}
 	for _, cw := range woken {
 		close(cw.done)
@@ -710,7 +532,7 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 	if res.Err != "" {
 		failErr := fmt.Errorf("cluster: chunk %d failed: %s", res.Chunk, res.Err)
 		for _, fp := range res.Failed {
-			key := Key{Digest: digest, Warmup: res.Warmup, Fingerprint: fp}.String()
+			key := Key{Digest: digest, Warmup: res.Warmup, Fingerprint: fp}
 			if cw, ok := c.cells[key]; ok {
 				cw.err = failErr
 				close(cw.done)
@@ -731,9 +553,11 @@ func (c *Coordinator) flushLocked(store *checkpoint.Store) error {
 	return nil
 }
 
-// reap re-queues chunks whose lease expired without a completion.
+// reap re-queues chunks whose lease expired without a completion. It
+// checks every half lease, but no more often than every millisecond:
+// a lease under 2 ns would otherwise ask for a zero tick.
 func (c *Coordinator) reap() {
-	t := time.NewTicker(c.cfg.LeaseTimeout / 2)
+	t := time.NewTicker(max(c.cfg.LeaseTimeout/2, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -744,10 +568,7 @@ func (c *Coordinator) reap() {
 			now := obs.Now()
 			for id, cs := range c.pending {
 				if now.After(cs.deadline) {
-					delete(c.pending, id)
-					cs.assigned = ""
-					c.stats.Requeues++
-					c.routeLocked(cs)
+					c.requeueLocked(id, cs)
 				}
 			}
 			c.cond.Broadcast()

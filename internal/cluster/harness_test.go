@@ -2,15 +2,16 @@ package cluster
 
 // The failure-injection harness. Workers talk to the coordinator
 // through chaosLink, a CoordinatorClient wrapper that can partition
-// the connection, duplicate completions, drop or hold replication
-// traffic, kill the worker at a chosen completion, and be re-pointed
-// at a different coordinator (a "restart"). Scenarios in
+// the connection, duplicate or hold completions, kill the worker at a
+// chosen completion, and be re-pointed at a different coordinator (a
+// "restart"). Scenarios in
 // chaos_test.go compose these faults and then hold the cluster to the
 // byte-identity bar against a single-node run.
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -26,6 +27,12 @@ import (
 	"bpred/internal/trace"
 	"bpred/internal/workload"
 )
+
+// testDigest fabricates a trace digest for scheduler-only tests that
+// never resolve the trace.
+func testDigest(seed byte) [32]byte {
+	return sha256.Sum256([]byte{seed})
+}
 
 // testTrace builds a small deterministic workload trace.
 func testTrace(t *testing.T, n int, seed uint64) *trace.Trace {
@@ -144,9 +151,6 @@ type chaosLink struct {
 	coord        *Coordinator // swappable: a coordinator "restart"
 	partitioned  bool
 	dupComplete  bool
-	dropReplicas bool
-	holdReplicas bool          // stash replicas instead of delivering
-	stash        []ReplicaCell // released on the first un-held Next
 	holdComplete bool          // capture completions in flight instead of delivering
 	held         []ChunkResult // captured completions, releasable to any coordinator
 	killOn       int           // 1-based Complete call that kills the worker (0 = never)
@@ -197,28 +201,12 @@ func (l *chaosLink) Join(ctx context.Context, id string) error {
 	return c.Join(ctx, id)
 }
 
-func (l *chaosLink) Next(ctx context.Context, id string) (Work, error) {
+func (l *chaosLink) Next(ctx context.Context, id string) (*Chunk, error) {
 	c, cut := l.target()
 	if cut {
-		return Work{}, errPartitioned
+		return nil, errPartitioned
 	}
-	w, err := c.Next(ctx, id)
-	if err != nil {
-		return w, err
-	}
-	l.mu.Lock()
-	switch {
-	case l.dropReplicas:
-		w.Replicas = nil
-	case l.holdReplicas:
-		l.stash = append(l.stash, w.Replicas...)
-		w.Replicas = nil
-	case len(l.stash) > 0: // delayed delivery
-		w.Replicas = append(l.stash, w.Replicas...)
-		l.stash = nil
-	}
-	l.mu.Unlock()
-	return w, nil
+	return c.Next(ctx, id)
 }
 
 func (l *chaosLink) Complete(ctx context.Context, id string, res ChunkResult) error {
@@ -292,10 +280,11 @@ func startFleet(t *testing.T, coord *Coordinator, traces TraceProvider, ids []st
 			mutate(id, l, w)
 		}
 		// Pre-register so fleet membership doesn't depend on goroutine
-		// scheduling: on one core a single worker can otherwise finish
-		// an entire sweep before its peers' goroutines first run, and
-		// replication only fans out to workers known at completion
-		// time. The worker's own Join is idempotent on top of this.
+		// scheduling: a call's cells are cut into one chunk per joined
+		// worker when ChunkCells is zero, and on one core a single
+		// worker can otherwise finish an entire sweep before its
+		// peers' goroutines first run. The worker's own Join is
+		// idempotent on top of this.
 		if err := coord.Join(context.Background(), id); err != nil {
 			t.Fatalf("pre-registering %s: %v", id, err)
 		}

@@ -35,6 +35,15 @@ type nextRequest struct {
 	WaitMS int64  `json:"wait_ms,omitempty"`
 }
 
+// nextResponse is the wire form of a Next answer: {"chunk": {...}}
+// for a dispatched chunk, {} for a server-side poll timeout. Older
+// coordinators also sent a "replicas" array of settled cells; the
+// decoder ignores it, so workers and coordinators of either build
+// interoperate.
+type nextResponse struct {
+	Chunk *Chunk `json:"chunk,omitempty"`
+}
+
 // completeRequest is the wire form of a Complete delivery.
 type completeRequest struct {
 	Worker string      `json:"worker"`
@@ -48,7 +57,7 @@ const maxPollWait = time.Minute
 // Handler exposes a Coordinator over HTTP:
 //
 //	POST /join              {"worker": id}
-//	POST /next              {"worker": id, "wait_ms": n} -> Work (empty on poll timeout)
+//	POST /next              {"worker": id, "wait_ms": n} -> {"chunk": Chunk} ({} on poll timeout)
 //	POST /complete          {"worker": id, "result": ChunkResult}
 //	GET  /trace/{digest}    canonical BPT2 stream
 //
@@ -85,16 +94,16 @@ func Handler(c *Coordinator, traces TraceOpener) http.Handler {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
 		defer cancel()
-		work, err := c.Next(ctx, req.Worker)
+		ch, err := c.Next(ctx, req.Worker)
 		if err != nil {
 			if ctx.Err() != nil && r.Context().Err() == nil {
-				writeJSON(w, Work{}) // poll timeout: empty work, client re-polls
+				writeJSON(w, nextResponse{}) // poll timeout: no chunk, client re-polls
 				return
 			}
 			coordError(w, err)
 			return
 		}
-		writeJSON(w, work)
+		writeJSON(w, nextResponse{Chunk: ch})
 	})
 	mux.HandleFunc("POST /complete", func(w http.ResponseWriter, r *http.Request) {
 		var req completeRequest
@@ -203,15 +212,18 @@ func (h *HTTPClient) Join(ctx context.Context, workerID string) error {
 }
 
 // Next implements CoordinatorClient. A server-side poll timeout
-// yields an empty Work, which the worker loop treats as "ask again".
-func (h *HTTPClient) Next(ctx context.Context, workerID string) (Work, error) {
+// yields a nil chunk and a nil error, which the worker loop treats as
+// "ask again".
+func (h *HTTPClient) Next(ctx context.Context, workerID string) (*Chunk, error) {
 	wait := h.PollWait
 	if wait <= 0 {
 		wait = 25 * time.Second
 	}
-	var work Work
-	err := h.post(ctx, "/next", nextRequest{Worker: workerID, WaitMS: wait.Milliseconds()}, &work)
-	return work, err
+	var resp nextResponse
+	if err := h.post(ctx, "/next", nextRequest{Worker: workerID, WaitMS: wait.Milliseconds()}, &resp); err != nil {
+		return nil, err
+	}
+	return resp.Chunk, nil
 }
 
 // Complete implements CoordinatorClient.

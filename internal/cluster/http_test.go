@@ -1,14 +1,24 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"bpred/internal/core"
+	"bpred/internal/sim"
 )
 
 // TestRemoteTracesRejectsLyingHeader serves header-only BPT1 and BPT2
@@ -99,5 +109,121 @@ func TestRemoteTracesCacheEvictsOldest(t *testing.T) {
 	}
 	if n := fetches(oldest); n != 2 {
 		t.Fatalf("oldest trace fetched %d times, want 2 (evicted past the cap of %d)", n, remoteTraceCap)
+	}
+}
+
+// postNext sends one raw /next long-poll and returns the response
+// body, so a test can check the wire form itself.
+func postNext(t *testing.T, base, worker string, waitMS int64) []byte {
+	t.Helper()
+	body, err := json.Marshal(nextRequest{Worker: worker, WaitMS: waitMS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/next", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /next: %v", err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading /next: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/next status = %s: %s", resp.Status, raw)
+	}
+	return bytes.TrimSpace(raw)
+}
+
+// TestNextWireContract pins /cluster/v1/next's body: {} when the
+// server-side poll times out, which HTTPClient.Next returns as no
+// chunk and no error, and {"chunk": {...}} when a chunk is dispatched.
+func TestNextWireContract(t *testing.T) {
+	coord := NewCoordinator(Config{})
+	defer coord.Stop()
+	srv := httptest.NewServer(Handler(coord, nil))
+	defer srv.Close()
+	ctx := runCtx(t)
+	if err := coord.Join(ctx, "h1"); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+
+	if got := postNext(t, srv.URL, "h1", 1); string(got) != "{}" {
+		t.Fatalf("poll-timeout body = %s, want {}", got)
+	}
+	client := &HTTPClient{Base: srv.URL, PollWait: time.Millisecond}
+	if ch, err := client.Next(ctx, "h1"); ch != nil || err != nil {
+		t.Fatalf("HTTPClient.Next on a poll timeout = %+v, %v; want nil, nil", ch, err)
+	}
+
+	configs := []core.Config{{Scheme: core.SchemeGShare, RowBits: 2, ColBits: 4}}
+	d := testDigest(12)
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCells(ctx, d, 7, configs, nil)
+		done <- err
+	}()
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(postNext(t, srv.URL, "h1", 30_000), &body); err != nil {
+		t.Fatalf("decoding the dispatch body: %v", err)
+	}
+	var ch Chunk
+	if err := json.Unmarshal(body["chunk"], &ch); err != nil || len(body) != 1 {
+		t.Fatalf("dispatch body = %v (%v), want exactly a chunk", body, err)
+	}
+	if ch.Trace != hex.EncodeToString(d[:]) || ch.Warmup != 7 || !slices.Equal(ch.Configs, configs) {
+		t.Fatalf("dispatched chunk = %+v, want the call's one cell", ch)
+	}
+	if err := client.Complete(ctx, "h1", fakeResult(ch.ID, ch.Trace, ch.Warmup, ch.Configs)); err != nil {
+		t.Fatalf("Complete: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("RunCells: %v", err)
+	}
+}
+
+// TestNextDecodesReplicaBodies answers /next the way coordinators
+// that pushed settled cells to their workers did, with a "replicas"
+// array beside the chunk or alone: HTTPClient.Next must still decode
+// the chunk, and read a replicas-only body as no chunk.
+func TestNextDecodesReplicaBodies(t *testing.T) {
+	d := testDigest(13)
+	chunk := Chunk{
+		ID: 42, Trace: hex.EncodeToString(d[:]), Warmup: 3,
+		Configs: []core.Config{{Scheme: core.SchemeGShare, RowBits: 2, ColBits: 4}},
+	}
+	type replicaCell struct { // the pushed cells' wire form
+		Trace       string      `json:"trace"`
+		Warmup      uint64      `json:"warmup"`
+		Fingerprint string      `json:"fingerprint"`
+		Metrics     sim.Metrics `json:"metrics"`
+	}
+	replicas := []replicaCell{{Trace: chunk.Trace, Warmup: 3, Fingerprint: "cfg1|s2|r0|c4", Metrics: fakeCell("").Metrics}}
+	var body []byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := w.Write(body); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer srv.Close()
+	client := &HTTPClient{Base: srv.URL}
+	ctx := runCtx(t)
+	var err error
+
+	body, err = json.Marshal(map[string]any{"chunk": chunk, "replicas": replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := client.Next(ctx, "h1")
+	if err != nil || ch == nil || !reflect.DeepEqual(*ch, chunk) {
+		t.Fatalf("Next = %+v, %v; want %+v", ch, err, chunk)
+	}
+
+	body, err = json.Marshal(map[string]any{"replicas": replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch, err := client.Next(ctx, "h1"); ch != nil || err != nil {
+		t.Fatalf("Next on a replicas-only body = %+v, %v; want nil, nil", ch, err)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // coordinator's cluster.Key, which also addresses one BPC1 cache slot
 // (the ledger file is bound to (digest, warmup), its entries to the
 // config fingerprint).
-func cellKey(digest [32]byte, warmup int, fp string) string {
-	return cluster.Key{Digest: digest, Warmup: uint64(warmup), Fingerprint: fp}.String()
+func cellKey(digest [32]byte, warmup int, fp string) cluster.Key {
+	return cluster.Key{Digest: digest, Warmup: uint64(warmup), Fingerprint: fp}
 }
 
 // runSpecOn uploads wire to ts, runs spec over it to completion, and
@@ -60,15 +60,15 @@ func TestExtraWorkersMatchAlone(t *testing.T) {
 	_, tsAlone := newTestServer(t, nil)
 	alone, _ := runSpecOn(t, tsAlone, wire, spec)
 
-	// Same spec, cells spread by ring ownership over the embedded
-	// worker and two more fed from the manager's own trace store.
+	// Same spec, each tier cut into one chunk per joined worker: the
+	// embedded one and two more fed from the manager's own trace store.
 	mFleet, tsFleet := newTestServer(t, nil)
 	coord := mFleet.Coordinator()
 	wctx, wcancel := context.WithCancel(context.Background())
 	extra := map[string]*cluster.Worker{}
 	done := make(map[string]chan struct{})
 	for _, id := range []string{"svc-w1", "svc-w2"} {
-		// Join before running so ring membership does not depend on
+		// Join before running so the chunk split does not depend on
 		// goroutine scheduling.
 		if err := coord.Join(wctx, id); err != nil {
 			t.Fatalf("Join %s: %v", id, err)
@@ -124,10 +124,10 @@ func TestExtraWorkersMatchAlone(t *testing.T) {
 
 // TestOneNodeClusterDispatch pins the one-node cluster's scheduling on
 // a fresh manager: a k-tier job dispatches exactly k chunks (one sim
-// pass per tier), the embedded worker computes every cell once and
-// keeps no replica of them, the job's progress carries the worker's
-// simulation load, and resubmitting — the identical spec, or a new job
-// over settled cells — dispatches nothing.
+// pass per tier), the embedded worker computes every cell once, the
+// job's progress carries the worker's simulation load, and
+// resubmitting — the identical spec, or a new job over settled cells —
+// dispatches nothing.
 func TestOneNodeClusterDispatch(t *testing.T) {
 	m, ts := newTestServer(t, nil)
 	const branches = 4000
@@ -148,11 +148,8 @@ func TestOneNodeClusterDispatch(t *testing.T) {
 		t.Fatalf("ChunksDispatched = %d, want one per tier (%d)", got, len(spec.Tiers))
 	}
 	ws := m.local.Stats()
-	if ws.ChunksRun != uint64(len(spec.Tiers)) || ws.CellsComputed != cells || ws.CellsLocal != 0 {
+	if ws.ChunksRun != uint64(len(spec.Tiers)) || ws.CellsComputed != cells {
 		t.Fatalf("embedded worker stats = %+v, want %d chunks computing %d cells", ws, len(spec.Tiers), cells)
-	}
-	if n := m.local.ReplicaCells(); n != 0 {
-		t.Fatalf("embedded worker holds %d replica cells, want 0", n)
 	}
 	// One ledger: the job's cells live in exactly one BPC1 file, where
 	// bpsweep -resume looks for it.

@@ -61,16 +61,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		value      uint64
 	}{
 		{"bpcluster_chunks_dispatched_total", "Chunks handed to workers.", st.ChunksDispatched},
-		{"bpcluster_steals_total", "Chunks a worker pulled from a peer's queue.", st.Steals},
 		{"bpcluster_requeues_total", "Chunks re-queued after worker death or lease expiry.", st.Requeues},
 		{"bpcluster_dup_cells_total", "Completed cells dropped because the ledger had already settled them.", st.DupCells},
-		{"bpcluster_replicas_sent_total", "Settled cells pushed to workers on their next pull.", st.ReplicasSent},
 		{"bpcluster_flush_errors_total", "Ledger checkpoint flushes that failed.", st.FlushErrors},
 		{"bpcluster_stale_completions_total", "Completions tagged with another coordinator incarnation.", st.StaleCompletions},
 		{"bpworker_chunks_run_total", "Chunks the embedded worker ran to completion.", ws.ChunksRun},
 		{"bpworker_cells_computed_total", "Cells the embedded worker's kernels evaluated.", ws.CellsComputed},
-		{"bpworker_cells_local_total", "Chunk cells the embedded worker answered from its replica cache.", ws.CellsLocal},
-		{"bpworker_replicas_installed_total", "Replica cells the embedded worker installed from coordinator pushes.", ws.ReplicasInstalled},
 	} {
 		writeMetricHeader(&b, cm.name, "counter", cm.help)
 		fmt.Fprintf(&b, "%s %d\n", cm.name, cm.value)

@@ -8,9 +8,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 	"unicode"
 
 	"bpred/internal/cluster"
+	"bpred/internal/obs"
 )
 
 var (
@@ -119,12 +121,13 @@ func TestMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestMetricsExportClusterStats guards the cluster counters against
-// going dark: every field of the coordinator's cluster.Stats must
-// render as a bpcluster_<snake_case>_total counter and every field of
-// the embedded worker's cluster.WorkerStats as a
-// bpworker_<snake_case>_total counter, and the series must carry the
-// live values.
+// TestMetricsExportClusterStats guards the counters against going
+// dark: every field of the coordinator's cluster.Stats must render as
+// a bpcluster_<snake_case>_total counter, every field of the embedded
+// worker's cluster.WorkerStats as a bpworker_<snake_case>_total
+// counter, and every field of obs.Snapshot as a
+// bpsim_<snake_case>_total counter (a duration's _time spelled
+// _seconds), and the series must carry the live values.
 func TestMetricsExportClusterStats(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	info := upload(t, ts, encodeBPT1(t, genTrace(t, 2000, 22)))
@@ -139,22 +142,35 @@ func TestMetricsExportClusterStats(t *testing.T) {
 		}
 		samples[line] = true
 	}
-	for prefix, v := range map[string]any{"bpcluster_": cluster.Stats{}, "bpworker_": cluster.WorkerStats{}} {
+	// obs.Snapshot.Elapsed is not a counter but a wall clock derived
+	// from a set's first touch; bpserved_uptime_seconds already covers
+	// the process.
+	skip := map[string]bool{"obs.Snapshot.Elapsed": true}
+	for prefix, v := range map[string]any{"bpcluster_": cluster.Stats{}, "bpworker_": cluster.WorkerStats{}, "bpsim_": obs.Snapshot{}} {
 		st := reflect.TypeOf(v)
 		for i := 0; i < st.NumField(); i++ {
-			field := st.Field(i).Name
-			name := prefix + snakeCase(field) + "_total"
+			field := st.Field(i)
+			if skip[st.String()+"."+field.Name] {
+				continue
+			}
+			name := snakeCase(field.Name)
+			if field.Type == reflect.TypeOf(time.Duration(0)) {
+				name = strings.TrimSuffix(name, "_time") + "_seconds"
+			}
+			name = prefix + name + "_total"
 			if !typed[name] {
-				t.Errorf("%s.%s has no /metrics counter %s", st, field, name)
+				t.Errorf("%s.%s has no /metrics counter %s", st, field.Name, name)
 			}
 		}
 	}
-	// One single-tier job on a lone embedded worker is one chunk, and
-	// the worker computes every one of its cells.
+	// One single-tier job on a lone embedded worker is one chunk, the
+	// worker computes every one of its cells, and the coordinator's
+	// published set accepts each of them once.
 	for _, want := range []string{
 		"bpcluster_chunks_dispatched_total 1",
 		"bpworker_chunks_run_total 1",
 		fmt.Sprintf("bpworker_cells_computed_total %d", job.CellsTotal),
+		fmt.Sprintf("bpsim_configs_completed_total{set=%q} %d", "test-"+t.Name()+"-cluster", job.CellsTotal),
 	} {
 		if !samples[want] {
 			t.Errorf("/metrics lacks the live sample %q", want)

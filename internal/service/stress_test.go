@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"bpred/internal/cluster"
 )
 
 // TestStressSingleFlight hammers one server with 32 concurrent
@@ -36,7 +38,7 @@ func TestStressSingleFlight(t *testing.T) {
 
 	// The distinct cell count over all specs, keyed exactly like the
 	// service's single-flight table.
-	distinct := make(map[string]bool)
+	distinct := make(map[cluster.Key]bool)
 	for _, spec := range specs {
 		digest, _, configs, err := spec.validate()
 		if err != nil {
