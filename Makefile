@@ -86,11 +86,12 @@ bench-short:
 # gshare sweep of the Figure-4 benchmark workload, and one tier-8
 # sweep per modern family), the trace plane under a streamed sweep
 # (upload ingest, BPT2 decode, streamed gshare sweep), the BPC1 ledger
-# of the Figure-4 workload (flush, lookup) and job-spec expansion, and
+# of the Figure-4 workload (flush, lookup), job-spec expansion, and
+# the service's cost per small job over a 300-job table, and
 # records the results as BENCH_sim.json so the perf trajectory is
 # tracked across PRs. Each series runs five times; benchjson writes
 # its median and quartiles.
-BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepTiers|BenchmarkSweepModern|BenchmarkTracePlane|BenchmarkLedger|BenchmarkJobSpec
+BENCH_PATTERN = BenchmarkKernels|BenchmarkSweepChunked|BenchmarkSweepTiers|BenchmarkSweepModern|BenchmarkTracePlane|BenchmarkLedger|BenchmarkJobSpec|BenchmarkJobTable
 
 # BENCH_CPU, when set, is the GOMAXPROCS list bench-sim, bench-check
 # and bench-pair run every series at (go test -cpu), for example

@@ -658,15 +658,69 @@ func BenchmarkJobSpec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for deadline := time.Now().Add(30 * time.Second); j.State() != service.StateDone; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			b.Fatalf("job %s is %s, not done", j.ID, j.State())
-		}
-	}
+	waitJob(b, j)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, deduped, err := m.Submit(spec); err != nil || !deduped {
 			b.Fatalf("resubmit: deduped %v, err %v", deduped, err)
 		}
+	}
+}
+
+// waitJob polls until j is done, failing the benchmark if it ends any
+// other way. The poll interval is short next to a job's run, so it
+// adds little to an op that waits for one.
+func waitJob(b *testing.B, j *service.Job) {
+	b.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Microsecond) {
+		st := j.State()
+		if st == service.StateDone {
+			return
+		}
+		if st != service.StateQueued && st != service.StateRunning || time.Now().After(deadline) {
+			b.Fatalf("job %s is %s, not done", j.ID, st)
+		}
+	}
+}
+
+// BenchmarkJobTable measures the sweep service's per-job overhead
+// over a long job history, which a design-space study pays once per
+// small job: each op submits a 5-cell gshare tier-4 job over a
+// 4096-branch trace, at a warmup no earlier job used so its cells
+// simulate, and waits for it to finish, with 300 finished jobs
+// already in the table. Every run of b.N ops starts from a fresh
+// table of 300, so the history does not grow from one run to the
+// next. It sets no bytes: benchjson compares it by ns/op.
+func BenchmarkJobTable(b *testing.B) {
+	const history = 300
+	m, err := service.NewManager(service.Config{DataDir: b.TempDir(), PublishName: "bench-jobtable"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	prof, _ := workload.ProfileByName("gcc")
+	info, err := m.Traces().Ingest(bytes.NewReader(encodeBPT1(b, workload.Generate(prof, 1, 4096))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(warmup int) {
+		j, deduped, err := m.Submit(service.JobSpec{Trace: info.Digest, Scheme: "gshare", Tiers: []int{4}, Warmup: warmup})
+		if err != nil || deduped {
+			b.Fatalf("submit: deduped %v, err %v", deduped, err)
+		}
+		waitJob(b, j)
+	}
+	for w := 0; w < history; w++ {
+		run(w)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(history + i)
 	}
 }

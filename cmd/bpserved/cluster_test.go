@@ -84,10 +84,71 @@ func startWorkerProc(t *testing.T, bin, node, join string) *exec.Cmd {
 	return cmd
 }
 
+// submitAndWait submits a job spec to the server at url and polls
+// until the job is done, failing the test if it ends any other way.
+func submitAndWait(t *testing.T, url, spec string) string {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	var ack struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatalf("decoding submit ack: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+
+	var st struct {
+		State string `json:"state"`
+		Error string `json:"error"`
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for st.State != "done" {
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %q", st.State)
+		}
+		if st.State == "failed" || st.State == "canceled" {
+			t.Fatalf("job ended %q: %s", st.State, st.Error)
+		}
+		getJSON(t, url+"/v1/jobs/"+ack.ID, &st)
+		time.Sleep(10 * time.Millisecond)
+	}
+	return ack.ID
+}
+
+// metric reads one unlabeled integer sample from the server's
+// /metrics page.
+func metric(t *testing.T, url, name string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			var n int
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("%s = %q: %v", name, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no sample %s (scan error %v)", name, sc.Err())
+	return 0
+}
+
 // TestClusterCoordinatorWorkerSmoke is the binary-level cluster path:
 // a -role coordinator process plus one external -role worker process
 // dialed in over HTTP complete a job end to end, and both shut down
-// cleanly on SIGTERM.
+// cleanly on SIGTERM. The worker leaves as it exits, so the next job
+// runs each tier as one chunk.
 func TestClusterCoordinatorWorkerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
@@ -129,37 +190,7 @@ func TestClusterCoordinatorWorkerSmoke(t *testing.T) {
 		t.Fatalf("upload status = %d", resp.StatusCode)
 	}
 
-	spec := fmt.Sprintf(`{"trace":%q,"scheme":"gshare","tiers":[4,5,6]}`, info.Digest)
-	resp, err = http.Post(srv.url+"/v1/jobs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	var ack struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		t.Fatalf("decoding submit ack: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-
-	var st struct {
-		State string `json:"state"`
-		Error string `json:"error"`
-	}
-	deadline := time.Now().Add(120 * time.Second)
-	for st.State != "done" {
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", st.State)
-		}
-		if st.State == "failed" || st.State == "canceled" {
-			t.Fatalf("job ended %q: %s", st.State, st.Error)
-		}
-		getJSON(t, srv.url+"/v1/jobs/"+ack.ID, &st)
-		time.Sleep(10 * time.Millisecond)
-	}
+	id := submitAndWait(t, srv.url, fmt.Sprintf(`{"trace":%q,"scheme":"gshare","tiers":[4,5,6]}`, info.Digest))
 
 	var res struct {
 		Partial    bool `json:"partial"`
@@ -168,7 +199,7 @@ func TestClusterCoordinatorWorkerSmoke(t *testing.T) {
 			Fingerprint string `json:"fingerprint"`
 		} `json:"cells"`
 	}
-	if code := getJSON(t, srv.url+"/v1/jobs/"+ack.ID+"/result", &res); code != http.StatusOK {
+	if code := getJSON(t, srv.url+"/v1/jobs/"+id+"/result", &res); code != http.StatusOK {
 		t.Fatalf("result status = %d", code)
 	}
 	if res.Partial || res.CellsTotal == 0 || len(res.Cells) != res.CellsTotal {
@@ -190,5 +221,15 @@ func TestClusterCoordinatorWorkerSmoke(t *testing.T) {
 		worker.Process.Kill()
 		t.Fatal("worker did not exit after SIGTERM")
 	}
+
+	// The worker left before it exited: a two-tier job is two chunks,
+	// not one per tier for each worker that ever joined.
+	const dispatched = "bpcluster_chunks_dispatched_total"
+	before := metric(t, srv.url, dispatched)
+	submitAndWait(t, srv.url, fmt.Sprintf(`{"trace":%q,"scheme":"gshare","tiers":[7,8]}`, info.Digest))
+	n := metric(t, srv.url, dispatched) - before
 	srv.sigterm(t)
+	if n != 2 {
+		t.Fatalf("a two-tier job after the worker left dispatched %d chunks, want 2", n)
+	}
 }

@@ -25,9 +25,12 @@
 // "bpserved: listening on ADDR" once the socket is bound, so wrappers
 // can parse it when using port 0. SIGINT/SIGTERM drains gracefully:
 // running jobs are interrupted, the embedded worker stops at its next
-// trace chunk, the ledger is flushed, the job table is persisted, and
+// trace chunk, the ledger is flushed, the job table is compacted, and
 // the process exits 0; a restart over the same -data directory
-// resumes interrupted jobs and keeps serving completed results.
+// resumes interrupted jobs and keeps serving completed results. Job
+// transitions are journaled as they happen, so a killed server
+// restarts just as well. A -role worker leaves the coordinator as it
+// exits.
 package main
 
 import (
@@ -143,7 +146,7 @@ func main() {
 	defer cancel()
 	// Drain first (stop accepting work, interrupt jobs, stop the
 	// embedded worker at its next trace chunk, flush the ledger,
-	// persist the job table), then close the HTTP side.
+	// compact the job table), then close the HTTP side.
 	if err := m.Drain(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "bpserved: drain: %v\n", err)
 		srv.Close()
@@ -156,8 +159,11 @@ func main() {
 	fmt.Fprintln(os.Stderr, "bpserved: drained, exiting")
 }
 
+// leaveTimeout bounds an exiting worker's leave request.
+const leaveTimeout = 5 * time.Second
+
 // runWorker runs the stateless worker role: dial the coordinator,
-// pull chunks, push results, until SIGINT/SIGTERM.
+// pull chunks, push results, until SIGINT/SIGTERM, then leave.
 func runWorker(node, join, token string) int {
 	if join == "" {
 		fmt.Fprintln(os.Stderr, "bpserved: -role worker requires -join <coordinator URL>")
@@ -167,14 +173,22 @@ func runWorker(node, join, token string) int {
 		node = fmt.Sprintf("worker-%d", os.Getpid())
 	}
 	base := strings.TrimRight(join, "/") + "/cluster/v1"
-	w := cluster.NewWorker(node,
-		&cluster.HTTPClient{Base: base, Token: token},
-		&cluster.RemoteTraces{Base: base, Token: token})
+	client := &cluster.HTTPClient{Base: base, Token: token}
+	w := cluster.NewWorker(node, client, &cluster.RemoteTraces{Base: base, Token: token})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(os.Stderr, "bpserved: worker %s joining %s\n", node, base)
 	err := w.Run(ctx)
+	// Leave, so the coordinator re-queues this worker's lease and stops
+	// cutting calls into a chunk for it now rather than never. The
+	// signal that ended Run canceled ctx, so the leave gets a context of
+	// its own.
+	lctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), leaveTimeout)
+	if lerr := client.Leave(lctx, node); lerr != nil {
+		fmt.Fprintf(os.Stderr, "bpserved: worker %s: leaving: %v\n", node, lerr)
+	}
+	cancel()
 	if err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintf(os.Stderr, "bpserved: worker: %v\n", err)
 		return 1

@@ -36,7 +36,8 @@ type Config struct {
 	// LeaseTimeout, when positive, re-queues a dispatched chunk whose
 	// completion has not arrived within the timeout — liveness under
 	// silent worker death on the HTTP transport. Zero disables the
-	// reaper; in-process deployments signal death via WorkerLeave.
+	// reaper; in-process deployments signal death via WorkerLeave, and
+	// an HTTP worker that exits cleanly leaves over /leave.
 	LeaseTimeout time.Duration
 	// PublishName, when non-empty, publishes the coordinator's
 	// counters under this name (obs.Published, the /metrics page).
@@ -367,8 +368,10 @@ func (c *Coordinator) Join(ctx context.Context, workerID string) error {
 }
 
 // WorkerLeave deregisters a worker and re-queues its in-flight
-// leases. A completion the dead worker still manages to deliver later
-// is accepted and deduplicated like any other.
+// leases; later calls are cut into one chunk per worker still joined.
+// Leaving twice is a no-op. A completion the departed worker still
+// manages to deliver later is accepted and deduplicated like any
+// other.
 func (c *Coordinator) WorkerLeave(workerID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -29,7 +29,8 @@ type TraceOpener interface {
 	Open(digest string) (io.ReadCloser, error)
 }
 
-// nextRequest is the wire form of a Next long-poll.
+// nextRequest is the wire form of a Next long-poll, and of a join or
+// a leave (which carry no wait).
 type nextRequest struct {
 	Worker string `json:"worker"`
 	WaitMS int64  `json:"wait_ms,omitempty"`
@@ -57,6 +58,7 @@ const maxPollWait = time.Minute
 // Handler exposes a Coordinator over HTTP:
 //
 //	POST /join              {"worker": id}
+//	POST /leave             {"worker": id} (idempotent)
 //	POST /next              {"worker": id, "wait_ms": n} -> {"chunk": Chunk} ({} on poll timeout)
 //	POST /complete          {"worker": id, "result": ChunkResult}
 //	GET  /trace/{digest}    canonical BPT2 stream
@@ -80,6 +82,15 @@ func Handler(c *Coordinator, traces TraceOpener) http.Handler {
 			coordError(w, err)
 			return
 		}
+		writeJSON(w, struct{}{})
+	})
+	mux.HandleFunc("POST /leave", func(w http.ResponseWriter, r *http.Request) {
+		var req nextRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+			httpError(w, http.StatusBadRequest, "bad leave request")
+			return
+		}
+		c.WorkerLeave(req.Worker)
 		writeJSON(w, struct{}{})
 	})
 	mux.HandleFunc("POST /next", func(w http.ResponseWriter, r *http.Request) {
@@ -209,6 +220,13 @@ func (h *HTTPClient) client() *http.Client {
 // Join implements CoordinatorClient.
 func (h *HTTPClient) Join(ctx context.Context, workerID string) error {
 	return h.post(ctx, "/join", nextRequest{Worker: workerID}, nil)
+}
+
+// Leave deregisters the worker: the coordinator re-queues any chunk
+// it still leases and stops counting it when it cuts calls into
+// chunks. Leaving twice, or without having joined, is harmless.
+func (h *HTTPClient) Leave(ctx context.Context, workerID string) error {
+	return h.post(ctx, "/leave", nextRequest{Worker: workerID}, nil)
 }
 
 // Next implements CoordinatorClient. A server-side poll timeout

@@ -227,3 +227,84 @@ func TestNextDecodesReplicaBodies(t *testing.T) {
 		t.Fatalf("Next on a replicas-only body = %+v, %v; want nil, nil", ch, err)
 	}
 }
+
+// leaveFleet joins w1 and w2 over HTTP to a fresh coordinator with no
+// lease timeout, so only a leave can take a chunk back, and returns
+// the coordinator, the client and ten gshare configs.
+func leaveFleet(t *testing.T) (*Coordinator, *HTTPClient, []core.Config) {
+	t.Helper()
+	coord := NewCoordinator(Config{})
+	t.Cleanup(func() { coord.Stop() })
+	srv := httptest.NewServer(Handler(coord, nil))
+	t.Cleanup(srv.Close)
+	client := &HTTPClient{Base: srv.URL}
+	for _, id := range []string{"w1", "w2"} {
+		if err := client.Join(runCtx(t), id); err != nil {
+			t.Fatalf("Join %s: %v", id, err)
+		}
+	}
+	var configs []core.Config
+	for rows := 0; rows < 10; rows++ {
+		configs = append(configs, core.Config{Scheme: core.SchemeGShare, RowBits: rows, ColBits: 4})
+	}
+	return coord, client, configs
+}
+
+// TestLeaveOverHTTP: once one of two joined workers leaves over HTTP
+// (twice, as a leave is idempotent), the coordinator stops counting
+// it, and the next 10-cell call becomes one chunk, not two.
+func TestLeaveOverHTTP(t *testing.T) {
+	coord, client, configs := leaveFleet(t)
+	ctx := runCtx(t)
+	for i := 0; i < 2; i++ {
+		if err := client.Leave(ctx, "w2"); err != nil {
+			t.Fatalf("Leave #%d: %v", i+1, err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCells(ctx, testDigest(14), 0, configs, nil)
+		done <- err
+	}()
+	ch := pullAndComplete(t, coord, "w1")
+	if err := <-done; err != nil {
+		t.Fatalf("RunCells: %v", err)
+	}
+	if !slices.Equal(ch.Configs, configs) {
+		t.Fatalf("chunk holds %d cells, want all %d", len(ch.Configs), len(configs))
+	}
+	if st := coord.Stats(); st.ChunksDispatched != 1 || st.Requeues != 0 {
+		t.Fatalf("stats = %+v, want one chunk dispatched and none re-queued", st)
+	}
+}
+
+// TestLeaveRequeuesLease: a worker that leaves over HTTP while it
+// holds a lease gives the chunk back at once, and the worker left
+// runs it after the call's other chunk.
+func TestLeaveRequeuesLease(t *testing.T) {
+	coord, client, configs := leaveFleet(t)
+	ctx := runCtx(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCells(ctx, testDigest(15), 0, configs, nil)
+		done <- err
+	}()
+	held, err := client.Next(ctx, "w2")
+	if err != nil || held == nil {
+		t.Fatalf("Next(w2) = %+v, %v; want a chunk", held, err)
+	}
+	if err := client.Leave(ctx, "w2"); err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	if got := coord.Stats().Requeues; got != 1 {
+		t.Fatalf("Requeues after the leave = %d, want 1", got)
+	}
+	pullAndComplete(t, coord, "w1")
+	again := pullAndComplete(t, coord, "w1")
+	if again.ID != held.ID || !slices.Equal(again.Configs, held.Configs) {
+		t.Fatalf("second chunk = %d %+v, want the re-queued %d %+v", again.ID, again.Configs, held.ID, held.Configs)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("RunCells: %v", err)
+	}
+}

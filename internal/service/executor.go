@@ -13,8 +13,8 @@ import (
 
 // runJob drives one job end to end inside a worker: transition to
 // running, execute, classify the outcome (done / failed / canceled /
-// interrupted), persist the result and the job table, and fold the
-// job's counters into the manager's global set.
+// interrupted), persist the result and journal each transition, and
+// fold the job's counters into the manager's global set.
 func (m *Manager) runJob(j *Job) {
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while waiting in the queue
@@ -27,7 +27,7 @@ func (m *Manager) runJob(j *Job) {
 	j.started = obs.Now()
 	j.mu.Unlock()
 	defer cancel()
-	m.persistJobs()
+	m.journalJob(j)
 
 	if m.hookJobStart != nil {
 		m.hookJobStart(ctx, j)
@@ -67,7 +67,7 @@ func (m *Manager) runJob(j *Job) {
 			fmt.Fprintf(os.Stderr, "bpserved: persisting result %s: %v\n", j.ID, perr)
 		}
 	}
-	m.persistJobs()
+	m.journalJob(j)
 }
 
 // execute evaluates the job tier by tier, each tier in one

@@ -9,8 +9,9 @@
 // the one cell-level single-flight and result cache, plus one
 // embedded in-process cluster.Worker that runs the kernels on one
 // pull loop per job worker (more workers may join over the cluster
-// transport). A drain stops running jobs and the worker, flushes the
-// ledger, and persists the job table so a restarted server resumes
+// transport). Every job transition appends one line to the job
+// journal; a drain stops running jobs and the worker, flushes the
+// ledger, and compacts the job table so a restarted server resumes
 // or serves completed results. DESIGN.md §9 documents the
 // architecture and the API.
 package service
@@ -80,6 +81,9 @@ type Job struct {
 	// mode. Jobs are only visible to their tenant (and to the open
 	// mode, which sees everything).
 	Tenant string
+	// seq is the table's seq at this job's submission; zero for a job
+	// loaded from disk, which the loaded table's seq already covers.
+	seq uint64
 
 	// Obs carries this job's own progress counters (branches, chunks,
 	// cells completed/cached); the manager folds deltas into its
@@ -163,7 +167,7 @@ func (j *Job) Status() JobStatus {
 // Config parameterizes a Manager.
 type Config struct {
 	// DataDir roots all persistence: traces/, checkpoints/, results/,
-	// and jobs.json live under it.
+	// and the job table (jobs.json and jobs.journal) live under it.
 	DataDir string
 	// Workers is the sweep worker pool size (0 = 2): that many jobs
 	// run at once, and the embedded cluster worker runs that many
@@ -246,6 +250,10 @@ type Manager struct {
 	order []string        //bplint:guardedby mu // submission order, for deterministic listings
 	byKey map[string]*Job //bplint:guardedby mu
 	seq   uint64          //bplint:guardedby mu
+
+	// journal persists the job table's transitions; lock order is mu,
+	// then journal.mu, then a job's mu.
+	journal *jobJournal
 
 	queue    chan *Job
 	wg       sync.WaitGroup
@@ -384,7 +392,26 @@ func (m *Manager) SubmitAs(spec JobSpec, tenant string) (*Job, bool, error) {
 	key := jobKey(digest, spec.Warmup, configs)
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	j, deduped, err := m.admitLocked(spec, tenant, key, opts, configs)
+	if err != nil || deduped {
+		m.mu.Unlock()
+		return j, deduped, err
+	}
+	// Take the journal's lock before releasing the manager's, so
+	// submit lines land in job-ID order and a replayed journal lists
+	// jobs in submission order. The write itself runs outside mu.
+	m.journal.mu.Lock()
+	m.mu.Unlock()
+	err = m.journal.appendLocked(j)
+	m.journal.mu.Unlock()
+	reportJournal(j, err)
+	return j, false, nil
+}
+
+// admitLocked dedups a validated submission onto a live or done job,
+// or enforces the draining state and the tenant's quota and enqueues
+// a new job.
+func (m *Manager) admitLocked(spec JobSpec, tenant, key string, opts sweep.Options, configs []core.Config) (*Job, bool, error) {
 	if j, ok := m.byKey[dedupKey(tenant, key)]; ok {
 		if st := j.State(); !st.terminal() || st == StateDone {
 			return j, true, nil
@@ -417,6 +444,7 @@ func (m *Manager) SubmitAs(spec JobSpec, tenant string) (*Job, bool, error) {
 		Opts:      opts,
 		Configs:   configs,
 		Tenant:    tenant,
+		seq:       m.seq,
 		Obs:       &obs.Counters{},
 		state:     StateQueued,
 		reason:    StateInterrupted,
@@ -431,11 +459,6 @@ func (m *Manager) SubmitAs(spec JobSpec, tenant string) (*Job, bool, error) {
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.byKey[dedupKey(tenant, key)] = j
-	if err := m.persistJobsLocked(); err != nil {
-		// The job is accepted and will run; a failed table write only
-		// weakens restart recovery, which the next persist repairs.
-		fmt.Fprintf(os.Stderr, "bpserved: persisting job table: %v\n", err)
-	}
 	return j, false, nil
 }
 
@@ -523,7 +546,7 @@ func (m *Manager) CancelFor(id, tenant string) (*Job, error) {
 		j.state = StateCanceled
 		j.finished = obs.Now()
 		j.mu.Unlock()
-		m.persistJobs()
+		m.journalJob(j)
 		return j, nil
 	case StateRunning:
 		j.reason = StateCanceled
@@ -600,7 +623,8 @@ func (m *Manager) worker() {
 // refused, every queued job is marked interrupted, every running job
 // is canceled (it returns at once and keeps its settled cells), the
 // embedded worker's pull loops stop at their next trace chunk, the
-// coordinator flushes the ledger, and the job table is persisted.
+// coordinator flushes the ledger, and the job table is compacted and
+// its journal closed.
 // Jobs left interrupted resume under the next manager over the same
 // data directory. Drain is idempotent; ctx bounds the wait for
 // workers.
@@ -649,7 +673,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 drained:
 	firstErr := m.coord.Stop()
-	if err := m.persistJobs(); err != nil && firstErr == nil {
+	if err := m.closeJournal(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -49,6 +49,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetricHeader(&b, "bpserved_traces", "gauge", "Traces in the store.")
 	fmt.Fprintf(&b, "bpserved_traces %d\n", m.Traces().Len())
 
+	// The journal is compacted only when the server opens and when it
+	// drains, so these grow with every job transition in between.
+	lines, size := m.journal.stats()
+	writeMetricHeader(&b, "bpserved_job_journal_records", "gauge", "Job transitions journaled since the job table was last compacted.")
+	fmt.Fprintf(&b, "bpserved_job_journal_records %d\n", lines)
+	writeMetricHeader(&b, "bpserved_job_journal_bytes", "gauge", "Bytes of job journal written since the job table was last compacted.")
+	fmt.Fprintf(&b, "bpserved_job_journal_bytes %d\n", size)
+
 	writeMetricHeader(&b, "bpserved_cells_in_flight", "gauge", "Sweep cells dispatched to the worker fleet and not yet settled.")
 	fmt.Fprintf(&b, "bpserved_cells_in_flight %d\n", m.coord.CellsInFlight())
 

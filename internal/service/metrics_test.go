@@ -80,7 +80,8 @@ func TestMetricsParseable(t *testing.T) {
 	}
 	for _, want := range []string{
 		"bpserved_up", "bpserved_jobs", "bpserved_queue_depth", "bpserved_traces",
-		"bpserved_cells_in_flight", "bpsim_branches_total", "bpsim_configs_completed_total",
+		"bpserved_cells_in_flight", "bpserved_job_journal_records", "bpserved_job_journal_bytes",
+		"bpsim_branches_total", "bpsim_configs_completed_total",
 	} {
 		if !typed[want] {
 			t.Errorf("metric %q missing", want)
@@ -171,6 +172,30 @@ func TestMetricsExportClusterStats(t *testing.T) {
 		"bpworker_chunks_run_total 1",
 		fmt.Sprintf("bpworker_cells_computed_total %d", job.CellsTotal),
 		fmt.Sprintf("bpsim_configs_completed_total{set=%q} %d", "test-"+t.Name()+"-cluster", job.CellsTotal),
+	} {
+		if !samples[want] {
+			t.Errorf("/metrics lacks the live sample %q", want)
+		}
+	}
+}
+
+// TestMetricsJournalGauges: the journal gauges count what the job
+// table has appended since the open compacted it — one job's submit,
+// start and finish lines — and the bytes gauge is the file's size.
+func TestMetricsJournalGauges(t *testing.T) {
+	m, ts := newTestServer(t, nil)
+	info := upload(t, ts, encodeBPT1(t, genTrace(t, 2000, 23)))
+	ack, _ := submit(t, ts, JobSpec{Trace: info.Digest, Scheme: "gshare", Tiers: []int{4}})
+	waitTerminal(t, ts, ack.ID)
+	waitJournal(t, m, 3)
+
+	samples := map[string]bool{}
+	for _, line := range scrape(t, ts.URL) {
+		samples[line] = true
+	}
+	for _, want := range []string{
+		"bpserved_job_journal_records 3",
+		fmt.Sprintf("bpserved_job_journal_bytes %d", journalSize(t, m.cfg.DataDir)),
 	} {
 		if !samples[want] {
 			t.Errorf("/metrics lacks the live sample %q", want)
