@@ -47,8 +47,10 @@ serve:
 	$(GO) run ./cmd/bpserved -listen $(SERVE_ADDR) -data $(SERVE_DATA)
 
 # serve-test runs the service subsystem's full suite — concurrency
-# stress, drain/restart, golden interop, and the binary-level SIGTERM
-# integration test — under the race detector.
+# stress, drain/restart, golden interop, the crash matrix
+# (TestCrashMatrix: a crash image at every atomicfile commit point,
+# each reopened and replayed to the same bytes), and the binary-level
+# SIGTERM integration test — under the race detector.
 serve-test:
 	$(GO) test -race ./internal/service/ ./cmd/bpserved/
 
@@ -157,13 +159,13 @@ COVER_FLOOR = 80
 # -coverpkg spans the gated set so cross-package exercise counts: the
 # analyzer fixtures drive load/analysistest, and cmd/bplint's smoke
 # test drives the bplint driver package.
-COVER_PKGS = ./internal/sim/,./internal/sweep/,./internal/checkpoint/,./internal/obs/,./internal/analysis/...,./internal/service/,./internal/counter/,./internal/cluster/,./internal/trace/,./internal/core/
+COVER_PKGS = ./internal/sim/,./internal/sweep/,./internal/checkpoint/,./internal/obs/,./internal/analysis/...,./internal/service/,./internal/counter/,./internal/cluster/,./internal/trace/,./internal/core/,./internal/atomicfile/
 
 cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=$(COVER_PKGS) \
 		./internal/sim/ ./internal/sweep/ ./internal/checkpoint/ ./internal/obs/ \
 		./internal/analysis/... ./cmd/bplint/ ./internal/service/ ./internal/counter/ \
-		./internal/cluster/ ./internal/trace/ ./internal/core/
+		./internal/cluster/ ./internal/trace/ ./internal/core/ ./internal/atomicfile/
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \

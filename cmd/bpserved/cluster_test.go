@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os/exec"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -52,36 +51,10 @@ func TestRoleFlagValidation(t *testing.T) {
 
 // startWorkerProc launches a -role worker process dialed into join
 // and waits for its joining banner.
-func startWorkerProc(t *testing.T, bin, node, join string) *exec.Cmd {
+func startWorkerProc(t *testing.T, bin, node, join string) *proc {
 	t.Helper()
-	cmd := exec.Command(bin, "-role", "worker", "-node", node, "-join", join)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatalf("StderrPipe: %v", err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting worker: %v", err)
-	}
-	joined := make(chan struct{}, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			if strings.Contains(sc.Text(), "joining") {
-				select {
-				case joined <- struct{}{}:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case <-joined:
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatal("worker never announced it was joining")
-	}
-	return cmd
+	p, _ := startProc(t, bin, "joining", "-role", "worker", "-node", node, "-join", join)
+	return p
 }
 
 // submitAndWait submits a job spec to the server at url and polls
@@ -206,21 +179,8 @@ func TestClusterCoordinatorWorkerSmoke(t *testing.T) {
 		t.Fatalf("cluster job result = partial=%v cells=%d/%d", res.Partial, len(res.Cells), res.CellsTotal)
 	}
 
-	// Worker first: SIGTERM must yield exit 0 and the stats banner.
-	if err := worker.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatalf("SIGTERM worker: %v", err)
-	}
-	wdone := make(chan error, 1)
-	go func() { wdone <- worker.Wait() }()
-	select {
-	case err := <-wdone:
-		if err != nil {
-			t.Fatalf("worker exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		worker.Process.Kill()
-		t.Fatal("worker did not exit after SIGTERM")
-	}
+	// Worker first: SIGTERM must yield exit 0.
+	worker.sigterm(t)
 
 	// The worker left before it exited: a two-tier job is two chunks,
 	// not one per tier for each worker that ever joined.

@@ -31,24 +31,21 @@ func buildBinary(t *testing.T) string {
 	return bin
 }
 
-// server is one running bpserved process.
-type server struct {
-	cmd *exec.Cmd
-	url string
+// proc is one running bpserved process. A goroutine reaps it, so the
+// test's SIGTERM check and the cleanup that kills a process a failed
+// test left running can both wait for its exit.
+type proc struct {
+	cmd  *exec.Cmd
+	url  string        // a server's base URL
+	done chan struct{} // closed once the process has exited
+	err  error         // the exit status, set before done closes
 }
 
-// startServer launches the binary on an ephemeral port and parses the
-// bound address from its stderr banner. extra flags are appended, so
-// callers can select e.g. -role coordinator.
-func startServer(t *testing.T, bin, dataDir string, extra ...string) *server {
+// startProc launches bin with args and waits for a stderr line
+// containing banner, returning the text after it. A cleanup kills and
+// reaps the process if it is still running when the test ends.
+func startProc(t *testing.T, bin, banner string, args ...string) (*proc, string) {
 	t.Helper()
-	args := []string{
-		"-listen", "127.0.0.1:0",
-		"-data", dataDir,
-		"-workers", "1",
-		"-drain-timeout", "60s",
-	}
-	args = append(args, extra...)
 	cmd := exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -57,46 +54,68 @@ func startServer(t *testing.T, bin, dataDir string, extra ...string) *server {
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting %s: %v", bin, err)
 	}
-	addrCh := make(chan string, 1)
+	p := &proc{cmd: cmd, done: make(chan struct{})}
+	t.Cleanup(func() {
+		select {
+		case <-p.done:
+		default:
+			cmd.Process.Kill()
+			<-p.done
+		}
+	})
+	announced := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "bpserved: listening on "); ok {
+			if _, rest, ok := strings.Cut(sc.Text(), banner); ok {
 				select {
-				case addrCh <- rest:
+				case announced <- rest:
 				default:
 				}
 			}
 		}
+		// Wait only once stderr is drained, as exec requires.
+		p.err = cmd.Wait()
+		close(p.done)
 	}()
 	select {
-	case addr := <-addrCh:
-		return &server{cmd: cmd, url: "http://" + addr}
+	case rest := <-announced:
+		return p, rest
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatal("server never announced its listen address")
-		return nil
+		t.Fatalf("%s %v never printed %q", bin, args, banner)
+		return nil, ""
 	}
 }
 
-// sigterm sends SIGTERM and asserts a clean (exit 0) shutdown.
-func (s *server) sigterm(t *testing.T) {
+// startServer launches the binary on an ephemeral port and parses the
+// bound address from its stderr banner. extra flags are appended, so
+// callers can select e.g. -role coordinator.
+func startServer(t *testing.T, bin, dataDir string, extra ...string) *proc {
 	t.Helper()
-	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	args := []string{
+		"-listen", "127.0.0.1:0",
+		"-data", dataDir,
+		"-workers", "1",
+		"-drain-timeout", "60s",
+	}
+	p, addr := startProc(t, bin, "bpserved: listening on ", append(args, extra...)...)
+	p.url = "http://" + addr
+	return p
+}
+
+// sigterm sends SIGTERM and asserts a clean (exit 0) shutdown.
+func (p *proc) sigterm(t *testing.T) {
+	t.Helper()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- s.cmd.Wait() }()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("server exited non-zero after SIGTERM: %v", err)
+	case <-p.done:
+		if p.err != nil {
+			t.Fatalf("%s exited non-zero after SIGTERM: %v", p.cmd.Path, p.err)
 		}
 	case <-time.After(90 * time.Second):
-		s.cmd.Process.Kill()
-		t.Fatal("server did not exit after SIGTERM")
+		t.Fatalf("%s did not exit after SIGTERM", p.cmd.Path)
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"sort"
 	"sync"
 
+	"bpred/internal/atomicfile"
 	"bpred/internal/core"
 	"bpred/internal/sim"
 )
@@ -363,36 +364,19 @@ func (s *Store) Add(fp string, m sim.Metrics) {
 	s.dirty = true
 }
 
-// Flush atomically persists the store to its backing file (write to a
-// temp file in the same directory, then rename). It is a no-op for
-// memory-only or unmodified stores, so callers can flush at every
-// tier boundary without rewriting an unchanged file.
+// Flush atomically persists the store to its backing file
+// (atomicfile: a temp file in the same directory, then rename). It is
+// a no-op for memory-only or unmodified stores, so callers can flush
+// at every tier boundary without rewriting an unchanged file.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.path == "" || !s.dirty {
 		return nil
 	}
-	dir, base := filepath.Split(s.path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := Write(tmp, &s.file); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: closing temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
+	file := &s.file
+	if err := atomicfile.Write(s.path, func(f *os.File) error { return Write(f, file) }); err != nil {
+		return fmt.Errorf("checkpoint: flushing %s: %w", s.path, err)
 	}
 	s.dirty = false
 	return nil

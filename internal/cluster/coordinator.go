@@ -12,10 +12,12 @@ import (
 	"sync"
 	"time"
 
+	"bpred/internal/atomicfile"
 	"bpred/internal/checkpoint"
 	"bpred/internal/core"
 	"bpred/internal/obs"
 	"bpred/internal/sim"
+	"bpred/internal/trace"
 )
 
 // Config parameterizes a Coordinator.
@@ -137,31 +139,28 @@ func NewCoordinator(cfg Config) *Coordinator {
 // tags — a completion held in flight across a coordinator restart
 // can never collide with a chunk ID the successor issued. Without a
 // directory (in-memory deployments) there is nothing to survive a
-// restart into, so the incarnation is a constant 1.
+// restart into, so the incarnation is a constant 1. It sweeps dir too.
 func nextIncarnation(dir string) uint64 {
 	if dir == "" {
 		return 1
 	}
 	path := filepath.Join(dir, "incarnation")
-	n := uint64(0)
-	if raw, err := os.ReadFile(path); err == nil {
-		if v, perr := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 32); perr == nil {
-			n = v
-		}
+	// A missing or unreadable counter reads 0, so the next is 1. The
+	// 32-bit tag space wraps (ParseUint reads a counter past it as
+	// 0xffffffff): a collision needs 4G restarts plus a
+	// 2^32-chunk-old straggler.
+	raw, _ := os.ReadFile(path)
+	n, _ := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 32)
+	n = n%0xffffffff + 1
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = atomicfile.Sweep(dir)
 	}
-	n++
-	if n > 0xffffffff {
-		n = 1 // 32-bit tag space wrapped; collisions need 4G restarts plus a 2^32-chunk-old straggler
+	if err == nil {
+		err = atomicfile.WriteFile(path, []byte(strconv.FormatUint(n, 10)+"\n"))
 	}
-	if err := os.MkdirAll(dir, 0o755); err == nil {
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, []byte(strconv.FormatUint(n, 10)+"\n"), 0o644); err == nil {
-			if err := os.Rename(tmp, path); err != nil {
-				fmt.Fprintf(os.Stderr, "cluster: persisting incarnation: %v\n", err)
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "cluster: persisting incarnation: %v\n", err)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cluster: opening %s: %v\n", dir, err)
 	}
 	return n
 }
@@ -467,9 +466,9 @@ func (c *Coordinator) Complete(ctx context.Context, workerID string, res ChunkRe
 	if c.closed {
 		return ErrShutdown
 	}
-	digest, err := parseDigest(res.Trace)
+	digest, err := trace.ParseDigest(res.Trace)
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: bad trace digest %q", res.Trace)
 	}
 	store, err := c.storeForLocked(digest, res.Warmup)
 	if err != nil {

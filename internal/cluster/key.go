@@ -1,10 +1,5 @@
 package cluster
 
-import (
-	"encoding/hex"
-	"fmt"
-)
-
 // Key identifies one sweep cell fleet-wide: the (trace digest,
 // warmup, configuration fingerprint) triple that also keys the BPC1
 // checkpoint cache. Key is comparable and is the coordinator's
@@ -13,15 +8,4 @@ type Key struct {
 	Digest      [32]byte
 	Warmup      uint64
 	Fingerprint string
-}
-
-// parseDigest decodes a full hex trace digest.
-func parseDigest(hexDigest string) ([32]byte, error) {
-	var d [32]byte
-	raw, err := hex.DecodeString(hexDigest)
-	if err != nil || len(raw) != len(d) {
-		return d, fmt.Errorf("cluster: bad trace digest %q", hexDigest)
-	}
-	copy(d[:], raw)
-	return d, nil
 }

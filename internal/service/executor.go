@@ -93,9 +93,8 @@ func (m *Manager) execute(ctx context.Context, j *Job, mergeGlobal func()) (*Job
 		return nil, err
 	}
 	defer tr.Release()
-	digest := j.digest()
 	collected := make(map[string]sim.Metrics, len(j.Configs))
-	for _, tier := range tiersOf(j.Opts) {
+	for _, tier := range j.Opts.TierList() {
 		if err := ctx.Err(); err != nil {
 			return buildResult(j, tr.Info().Name, collected), err
 		}
@@ -103,7 +102,7 @@ func (m *Manager) execute(ctx context.Context, j *Job, mergeGlobal func()) (*Job
 		tierOpts := j.Opts
 		tierOpts.Tiers = []int{tier}
 		configs := sweep.Configs(tierOpts)
-		ms, err := m.coord.RunCells(ctx, digest, uint64(j.Spec.Warmup), configs, j.Obs)
+		ms, err := m.coord.RunCells(ctx, j.digest, uint64(j.Spec.Warmup), configs, j.Obs)
 		for i, c := range configs {
 			if ms[i].Name != "" {
 				collected[c.Fingerprint()] = ms[i]
@@ -119,20 +118,4 @@ func (m *Manager) execute(ctx context.Context, j *Job, mergeGlobal func()) (*Job
 		}
 	}
 	return buildResult(j, tr.Info().Name, collected), nil
-}
-
-// tiersOf returns the job's tier list in execution order.
-func tiersOf(o sweep.Options) []int {
-	if len(o.Tiers) > 0 {
-		return o.Tiers
-	}
-	lo, hi := o.MinBits, o.MaxBits
-	if lo == 0 && hi == 0 {
-		lo, hi = sweep.DefaultMinBits, sweep.DefaultMaxBits
-	}
-	out := make([]int, 0, hi-lo+1)
-	for n := lo; n <= hi; n++ {
-		out = append(out, n)
-	}
-	return out
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bpred/internal/atomicfile"
 	"bpred/internal/trace"
 )
 
@@ -104,7 +105,7 @@ func TestIngestLifecycle(t *testing.T) {
 		if !pipelineJoined() {
 			t.Fatalf("%s: %d pipeline goroutines outlived the call", what, pipelineGoroutines())
 		}
-		tmps, err := filepath.Glob(filepath.Join(dir, ".ingest-*.tmp"))
+		tmps, err := filepath.Glob(filepath.Join(dir, atomicfile.TempPattern))
 		if err != nil {
 			t.Fatal(err)
 		}

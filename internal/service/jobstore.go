@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bpred/internal/atomicfile"
 	"bpred/internal/obs"
 )
 
@@ -134,11 +135,7 @@ func (m *Manager) snapshotLocked() error {
 	for _, id := range m.order {
 		tbl.Jobs = append(tbl.Jobs, m.jobs[id].record())
 	}
-	raw, err := json.MarshalIndent(tbl, "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	return atomicWrite(m.jobsPath(), raw)
+	return persistJSON(m.jobsPath(), tbl)
 }
 
 // closeJournal compacts the job table — a fresh jobs.json, an empty
@@ -206,15 +203,8 @@ func readJournal(path string) ([]journalLine, error) {
 //bplint:exclusive runs before the manager is shared; the jobs it builds are not yet published
 func (m *Manager) loadJobs() ([]*Job, error) {
 	var tbl jobTable
-	raw, err := os.ReadFile(m.jobsPath())
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-	case err != nil:
-		return nil, fmt.Errorf("service: reading job table: %w", err)
-	default:
-		if err := json.Unmarshal(raw, &tbl); err != nil {
-			return nil, fmt.Errorf("service: corrupt job table %s: %w", m.jobsPath(), err)
-		}
+	if _, err := readJSON(m.jobsPath(), "job table", &tbl); err != nil {
+		return nil, err
 	}
 	lines, err := readJournal(m.journalPath())
 	if err != nil {
@@ -238,7 +228,7 @@ func (m *Manager) loadJobs() ([]*Job, error) {
 
 	var resumable []*Job
 	for _, rec := range recs {
-		_, opts, configs, err := rec.Spec.validate()
+		digest, opts, configs, err := rec.Spec.validate()
 		j := &Job{
 			ID:        rec.ID,
 			Key:       rec.Key,
@@ -246,6 +236,7 @@ func (m *Manager) loadJobs() ([]*Job, error) {
 			Opts:      opts,
 			Configs:   configs,
 			Tenant:    rec.Tenant,
+			digest:    digest,
 			Obs:       &obs.Counters{},
 			state:     rec.State,
 			errText:   rec.Error,
@@ -291,25 +282,46 @@ func (m *Manager) loadJobs() ([]*Job, error) {
 
 // persistResult writes a job's terminal payload.
 func (m *Manager) persistResult(id string, res *JobResult) error {
-	raw, err := json.MarshalIndent(res, "", "  ")
+	return persistJSON(m.resultPath(id), res)
+}
+
+// persistJSON replaces path with v's indented JSON form.
+func persistJSON(path string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = atomicfile.WriteFile(path, raw)
+	}
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	return atomicWrite(m.resultPath(id), raw)
+	return nil
 }
 
 // loadResult reads a persisted result (restart path).
 func (m *Manager) loadResult(id string) (*JobResult, error) {
-	raw, err := os.ReadFile(m.resultPath(id))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("service: job %s has no persisted result", id)
+	var res JobResult
+	found, err := readJSON(m.resultPath(id), "result", &res)
+	if err == nil && !found {
+		err = fmt.Errorf("service: job %s has no persisted result", id)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	var res JobResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, fmt.Errorf("service: corrupt result %s: %w", m.resultPath(id), err)
+		return nil, err
 	}
 	return &res, nil
+}
+
+// readJSON decodes path's JSON into v, calling the file what in its
+// errors. A missing file leaves v as it was and reports false.
+func readJSON(path, what string, v any) (bool, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("service: reading %s: %w", what, err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		return false, fmt.Errorf("service: corrupt %s %s: %w", what, path, err)
+	}
+	return true, nil
 }

@@ -91,7 +91,14 @@ func journalSize(t *testing.T, dir string) int64 {
 // copyTree copies the regular files under src into dst.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+	if err := copyDir(src, dst); err != nil {
+		t.Fatalf("copying %s to %s: %v", src, dst, err)
+	}
+}
+
+// copyDir is copyTree for goroutines other than the test's.
+func copyDir(src, dst string) error {
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -108,9 +115,6 @@ func copyTree(t *testing.T, src, dst string) {
 		}
 		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
 	})
-	if err != nil {
-		t.Fatalf("copying %s to %s: %v", src, dst, err)
-	}
 }
 
 // crashImage copies dir as a process killed now would leave it. The

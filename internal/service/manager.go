@@ -18,7 +18,6 @@ package service
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -27,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bpred/internal/atomicfile"
 	"bpred/internal/cluster"
 	"bpred/internal/core"
 	"bpred/internal/obs"
@@ -84,6 +84,8 @@ type Job struct {
 	// seq is the table's seq at this job's submission; zero for a job
 	// loaded from disk, which the loaded table's seq already covers.
 	seq uint64
+	// digest is Spec.Trace decoded (by JobSpec.validate).
+	digest [32]byte
 
 	// Obs carries this job's own progress counters (branches, chunks,
 	// cells completed/cached); the manager folds deltas into its
@@ -99,14 +101,6 @@ type Job struct {
 	submitted time.Time          //bplint:guardedby mu
 	started   time.Time          //bplint:guardedby mu
 	finished  time.Time          //bplint:guardedby mu
-}
-
-// digest returns the binary trace digest (validated at submit).
-func (j *Job) digest() [32]byte {
-	var d [32]byte
-	raw, _ := decodeHex32(j.Spec.Trace)
-	d = raw
-	return d
 }
 
 // State returns the job's current state.
@@ -282,6 +276,12 @@ func NewManager(cfg Config) (*Manager, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
+	// The trace store and the coordinator sweep their own directories.
+	for _, dir := range []string{cfg.DataDir, filepath.Join(cfg.DataDir, "results")} {
+		if err := atomicfile.Sweep(dir); err != nil {
+			return nil, fmt.Errorf("service: %w", err)
+		}
+	}
 	traces, err := NewTraceStore(filepath.Join(cfg.DataDir, "traces"),
 		cfg.MaxTraceBranches, cfg.TraceCacheCap, cfg.StreamBranches)
 	if err != nil {
@@ -392,7 +392,7 @@ func (m *Manager) SubmitAs(spec JobSpec, tenant string) (*Job, bool, error) {
 	key := jobKey(digest, spec.Warmup, configs)
 
 	m.mu.Lock()
-	j, deduped, err := m.admitLocked(spec, tenant, key, opts, configs)
+	j, deduped, err := m.admitLocked(spec, tenant, digest, key, opts, configs)
 	if err != nil || deduped {
 		m.mu.Unlock()
 		return j, deduped, err
@@ -411,7 +411,7 @@ func (m *Manager) SubmitAs(spec JobSpec, tenant string) (*Job, bool, error) {
 // admitLocked dedups a validated submission onto a live or done job,
 // or enforces the draining state and the tenant's quota and enqueues
 // a new job.
-func (m *Manager) admitLocked(spec JobSpec, tenant, key string, opts sweep.Options, configs []core.Config) (*Job, bool, error) {
+func (m *Manager) admitLocked(spec JobSpec, tenant string, digest [32]byte, key string, opts sweep.Options, configs []core.Config) (*Job, bool, error) {
 	if j, ok := m.byKey[dedupKey(tenant, key)]; ok {
 		if st := j.State(); !st.terminal() || st == StateDone {
 			return j, true, nil
@@ -445,6 +445,7 @@ func (m *Manager) admitLocked(spec JobSpec, tenant, key string, opts sweep.Optio
 		Configs:   configs,
 		Tenant:    tenant,
 		seq:       m.seq,
+		digest:    digest,
 		Obs:       &obs.Counters{},
 		state:     StateQueued,
 		reason:    StateInterrupted,
@@ -677,15 +678,4 @@ drained:
 		firstErr = err
 	}
 	return firstErr
-}
-
-// decodeHex32 decodes a 64-digit hex digest.
-func decodeHex32(s string) ([32]byte, error) {
-	var d [32]byte
-	raw, err := hex.DecodeString(s)
-	if err != nil || len(raw) != len(d) {
-		return d, fmt.Errorf("service: bad digest %q", s)
-	}
-	copy(d[:], raw)
-	return d, nil
 }

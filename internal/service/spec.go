@@ -11,6 +11,7 @@ import (
 	"bpred/internal/core"
 	"bpred/internal/sim"
 	"bpred/internal/sweep"
+	"bpred/internal/trace"
 )
 
 // JobSpec is the client-visible description of one sweep job: which
@@ -152,12 +153,10 @@ func (s JobSpec) sweepOptions() (sweep.Options, error) {
 // configuration is validated up front so a bad spec fails at submit
 // time with a 400, never inside a worker.
 func (s JobSpec) validate() ([32]byte, sweep.Options, []core.Config, error) {
-	var digest [32]byte
-	raw, err := hex.DecodeString(s.Trace)
-	if err != nil || len(raw) != len(digest) {
+	digest, err := trace.ParseDigest(s.Trace)
+	if err != nil {
 		return digest, sweep.Options{}, nil, fmt.Errorf("trace must be a %d-hex-digit SHA-256 digest", 2*len(digest))
 	}
-	copy(digest[:], raw)
 	if s.Warmup < 0 {
 		return digest, sweep.Options{}, nil, fmt.Errorf("negative warmup %d", s.Warmup)
 	}

@@ -4,15 +4,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
+	"bpred/internal/atomicfile"
 	"bpred/internal/trace"
 )
 
@@ -39,20 +40,20 @@ type TraceInfo struct {
 	// Instructions is the represented dynamic instruction count.
 	Instructions uint64 `json:"instructions"`
 	// Format is the on-disk format version backing this trace (2 for
-	// the canonical columnar form; 1 for legacy .bpt files adopted
-	// from an older data directory).
+	// the canonical columnar form; 1 for a legacy .bpt file from an
+	// older data directory).
 	Format int `json:"format,omitempty"`
-	// Bytes is the canonical on-disk size of the stored trace; it is
-	// what byte quotas charge. Entries persisted before this field
-	// existed are backfilled from the backing file at load.
+	// Bytes is the stored trace's size on disk; it is what byte quotas
+	// charge.
 	Bytes uint64 `json:"bytes,omitempty"`
 }
 
-// indexEntry is the persisted index.json form: the wire metadata plus
-// the owning tenants, which never leave the store through the API.
-type indexEntry struct {
-	TraceInfo
-	Tenants []string `json:"tenants,omitempty"`
+// ownerEntry is one index.json entry: a trace and the tenants that
+// own it, which never leave the store through the API. Older indexes
+// also restate the trace's TraceInfo, which the loader ignores.
+type ownerEntry struct {
+	Digest  string   `json:"digest"`
+	Tenants []string `json:"tenants"`
 }
 
 // cachedTrace is one decoded-cache entry. pins counts in-flight jobs
@@ -72,6 +73,10 @@ type cachedTrace struct {
 // materializes a decoded trace, so a hostile 2 GB stream costs one
 // block of memory, and the record-count cap is enforced from the
 // declared header immediately and from actual records as a belt.
+//
+// The trace files are the index: each one's header gives its metadata.
+// dir/index.json holds only ownership and is rewritten only when that
+// changes, so an open-mode upload commits one rename.
 //
 // Decoded traces are cached in a bounded LRU with pinning: at most
 // cacheCap traces are resident (pinned entries can push past the cap,
@@ -104,11 +109,14 @@ const DefaultTraceCacheCap = 8
 // decoded) run from streamed BPT2 blocks instead of resident slices.
 const DefaultStreamBranches = 1 << 22
 
-// NewTraceStore opens (or creates) a trace store rooted at dir.
-// cacheCap 0 selects DefaultTraceCacheCap; streamBranches 0 selects
-// DefaultStreamBranches.
+// NewTraceStore opens (or creates) a trace store rooted at dir and
+// sweeps it. cacheCap 0 selects DefaultTraceCacheCap; streamBranches 0
+// selects DefaultStreamBranches.
 func NewTraceStore(dir string, maxBranches uint64, cacheCap int, streamBranches uint64) (*TraceStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	if err := atomicfile.Sweep(dir); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	if cacheCap <= 0 {
@@ -126,7 +134,7 @@ func NewTraceStore(dir string, maxBranches uint64, cacheCap int, streamBranches 
 		owners:         make(map[string]map[string]bool),
 		loaded:         make(map[string]*cachedTrace),
 	}
-	if err := s.loadIndex(); err != nil {
+	if err := s.loadDir(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -149,64 +157,62 @@ func (s *TraceStore) tracePathLocked(digest string) string {
 	return s.pathFor(digest, s.infos[digest].Format)
 }
 
+// loadDir lists dir: each <digest>.bpt2 (or legacy <digest>.bpt) file
+// is a trace, its header gives its metadata and its size what quotas
+// charge, and index.json gives the owners of those that survived.
+//
 //bplint:exclusive runs from NewTraceStore before the store is shared
-func (s *TraceStore) loadIndex() error {
-	raw, err := os.ReadFile(s.indexPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+func (s *TraceStore) loadDir() error {
+	files, err := os.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("service: reading trace index: %w", err)
+		return fmt.Errorf("service: %w", err)
 	}
-	var entries []indexEntry
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return fmt.Errorf("service: corrupt trace index %s: %w", s.indexPath(), err)
-	}
-	for _, in := range entries {
-		// Only believe index entries whose backing file survived.
-		// Entries from an older data directory carry no format; adopt
-		// whichever file exists, preferring the canonical BPT2.
-		if in.Format == 0 {
-			if _, err := os.Stat(s.pathFor(in.Digest, 2)); err == nil {
-				in.Format = 2
-			} else {
-				in.Format = 1
-			}
-		}
-		st, err := os.Stat(s.pathFor(in.Digest, in.Format))
-		if err != nil {
+	// ReadDir sorts by name, so a digest's .bpt2 file comes after its
+	// .bpt one and wins.
+	for _, f := range files {
+		digest, ext, _ := strings.Cut(f.Name(), ".")
+		if _, err := trace.ParseDigest(digest); err != nil || ext != "bpt" && ext != "bpt2" {
 			continue
 		}
-		// Indexes written before byte accounting carry no size; charge
-		// quotas from the surviving file.
-		if in.Bytes == 0 {
-			in.Bytes = uint64(st.Size())
+		path := filepath.Join(s.dir, f.Name())
+		fr, err := trace.OpenFile(path)
+		if err != nil {
+			return fmt.Errorf("service: trace file %s: %w", path, err)
 		}
-		s.infos[in.Digest] = in.TraceInfo
-		for _, t := range in.Tenants {
-			s.addOwnerLocked(in.Digest, t)
+		st, err := os.Stat(path)
+		if err = errors.Join(err, fr.Close()); err != nil {
+			return fmt.Errorf("service: %w", err)
+		}
+		s.infos[digest] = TraceInfo{Digest: digest, Name: fr.Name(), Branches: fr.Count(),
+			Instructions: fr.Instructions(), Format: fr.Version(), Bytes: uint64(st.Size())}
+	}
+	var index []ownerEntry
+	if _, err := readJSON(s.indexPath(), "trace index", &index); err != nil {
+		return err
+	}
+	for _, e := range index {
+		if _, ok := s.infos[e.Digest]; ok {
+			for _, t := range e.Tenants {
+				s.addOwnerLocked(e.Digest, t)
+			}
 		}
 	}
 	return nil
 }
 
-// persistIndexLocked atomically rewrites the index. Callers hold s.mu.
+// persistIndexLocked rewrites index.json. Callers hold s.mu.
 func (s *TraceStore) persistIndexLocked() error {
-	entries := make([]indexEntry, 0, len(s.infos))
-	for d, in := range s.infos {
-		e := indexEntry{TraceInfo: in}
-		for t := range s.owners[d] {
+	index := make([]ownerEntry, 0, len(s.owners))
+	for d, set := range s.owners {
+		e := ownerEntry{Digest: d}
+		for t := range set {
 			e.Tenants = append(e.Tenants, t)
 		}
 		sort.Strings(e.Tenants)
-		entries = append(entries, e)
+		index = append(index, e)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Digest < entries[j].Digest })
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	return atomicWrite(s.indexPath(), raw)
+	sort.Slice(index, func(i, j int) bool { return index[i].Digest < index[j].Digest })
+	return persistJSON(s.indexPath(), index)
 }
 
 func (s *TraceStore) addOwnerLocked(digest, tenant string) bool {
@@ -284,12 +290,13 @@ func (s *TraceStore) Ingest(r io.Reader) (TraceInfo, error) {
 // canonical BPT2 transcode on a temp file (transcode), then renamed to
 // <digest>.bpt2 — the decoded trace is never resident. Uploading
 // content the store already holds is idempotent (the tenant is added
-// as an owner). The record-count cap rejects oversized headers before
-// any record is read, and lying headers when the actual records
-// overrun. quota caps the tenant's owned-trace count and summed
-// bytes; both apply whenever ownership would grow, including adopting
-// content another tenant already uploaded. ctx cancels the ingest at
-// batch boundaries (disconnected uploaders stop costing decode work).
+// as an owner). The record-count cap
+// rejects oversized headers before any record is read, and lying
+// headers when the actual records overrun. quota caps the tenant's
+// owned-trace count and summed bytes; both apply whenever ownership
+// would grow, including adopting content another tenant already
+// uploaded. ctx cancels the ingest at batch boundaries (disconnected
+// uploaders stop costing decode work).
 func (s *TraceStore) IngestAs(ctx context.Context, r io.Reader, tenant string, quota TraceQuota) (info TraceInfo, err error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {
@@ -299,73 +306,46 @@ func (s *TraceStore) IngestAs(ctx context.Context, r io.Reader, tenant string, q
 		return TraceInfo{}, fmt.Errorf("%w: header promises %d records, cap is %d",
 			ErrTraceTooLarge, rd.Count(), s.maxBranches)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".ingest-*.tmp")
-	if err != nil {
-		return TraceInfo{}, fmt.Errorf("service: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close() // error-path cleanup; the ingest error wins
-			if rmErr := os.Remove(tmp.Name()); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) && err == nil {
-				err = fmt.Errorf("service: %w", rmErr)
-			}
+	fill := func(f *os.File) error {
+		digest, err := transcode(ctx, rd, f, s.maxBranches)
+		if err != nil {
+			return err
 		}
-	}()
-	digest, err := transcode(ctx, rd, tmp, s.maxBranches)
-	if err != nil {
-		return TraceInfo{}, err
+		st, err := f.Stat()
+		if err != nil {
+			return fmt.Errorf("service: %w", err)
+		}
+		info = TraceInfo{Digest: hex.EncodeToString(digest[:]), Name: rd.Name(), Branches: rd.Count(),
+			Instructions: rd.Instructions(), Format: 2, Bytes: uint64(st.Size())}
+		return nil
 	}
-	if err := tmp.Close(); err != nil {
-		return TraceInfo{}, fmt.Errorf("service: %w", err)
-	}
-	st, err := os.Stat(tmp.Name())
-	if err != nil {
-		return TraceInfo{}, fmt.Errorf("service: %w", err)
-	}
-	key := hex.EncodeToString(digest[:])
-	info = TraceInfo{
-		Digest:       key,
-		Name:         rd.Name(),
-		Branches:     rd.Count(),
-		Instructions: rd.Instructions(),
-		Format:       2,
-		Bytes:        uint64(st.Size()),
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.infos[key]; ok {
+	place := func(rename func(string) error) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		existing, stored := s.infos[info.Digest]
+		if stored {
+			info = existing
+		}
 		// Content dedup is global; ownership is per-tenant — and
 		// adopting content another tenant uploaded still grows this
 		// tenant's footprint, so quota applies here too.
-		if tenant != "" && !s.owners[key][tenant] {
-			if err := s.admitLocked(tenant, quota, existing.Bytes); err != nil {
-				return TraceInfo{}, err
+		if !s.owners[info.Digest][tenant] {
+			if err := s.admitLocked(tenant, quota, info.Bytes); err != nil {
+				return err
 			}
 		}
-		if s.addOwnerLocked(key, tenant) {
-			if err := s.persistIndexLocked(); err != nil {
-				return TraceInfo{}, err
+		if !stored {
+			if err := rename(s.pathFor(info.Digest, 2)); err != nil {
+				return fmt.Errorf("service: %w", err)
 			}
+			s.infos[info.Digest] = info
 		}
-		if rmErr := os.Remove(tmp.Name()); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
-			return TraceInfo{}, fmt.Errorf("service: %w", rmErr)
+		if !s.addOwnerLocked(info.Digest, tenant) {
+			return nil
 		}
-		tmp = nil
-		return existing, nil
+		return s.persistIndexLocked()
 	}
-	if err := s.admitLocked(tenant, quota, info.Bytes); err != nil {
-		return TraceInfo{}, err
-	}
-	// Rename into place so a crash mid-write never leaves a half trace
-	// under a valid digest name.
-	if err := os.Rename(tmp.Name(), s.pathFor(key, 2)); err != nil {
-		return TraceInfo{}, fmt.Errorf("service: %w", err)
-	}
-	tmp = nil
-	s.infos[key] = info
-	s.addOwnerLocked(key, tenant)
-	if err := s.persistIndexLocked(); err != nil {
+	if err := atomicfile.Commit(s.dir, fill, place); err != nil {
 		return TraceInfo{}, err
 	}
 	return info, nil
@@ -657,31 +637,4 @@ func (s *TraceStore) evictLocked() {
 		}
 		delete(s.loaded, victim)
 	}
-}
-
-// atomicWrite writes data to path via a same-directory temp file and
-// rename, so readers never observe a torn file.
-func atomicWrite(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: %w", err)
-	}
-	return nil
 }

@@ -90,9 +90,9 @@ func (o Options) bounds() (int, int) {
 	return lo, hi
 }
 
-// tierList returns the tiers to sweep, ascending-compatible with
-// bounds().
-func (o Options) tierList() []int {
+// TierList returns the tiers to sweep, in execution order: Tiers when
+// set, else MinBits..MaxBits (the paper's 4..15 when both are zero).
+func (o Options) TierList() []int {
 	if len(o.Tiers) > 0 {
 		return o.Tiers
 	}
@@ -185,7 +185,7 @@ func (s *Surface) BestInTier(tableBits int) (Point, bool) {
 // sweeps have exactly one configuration per tier (all columns).
 func Configs(o Options) []core.Config {
 	var out []core.Config
-	for _, n := range o.tierList() {
+	for _, n := range o.TierList() {
 		out = append(out, tierConfigs(o, n)...)
 	}
 	return out
@@ -279,7 +279,7 @@ func RunCtx(ctx context.Context, o Options, tr *trace.Trace) (*Surface, error) {
 		return s, nil
 	}
 
-	for _, n := range o.tierList() {
+	for _, n := range o.TierList() {
 		if err := ctx.Err(); err != nil {
 			return nil, flushOnCancel(store, err)
 		}

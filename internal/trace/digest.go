@@ -3,6 +3,8 @@ package trace
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"hash"
 )
 
@@ -20,6 +22,18 @@ func (t *Trace) Digest() [sha256.Size]byte {
 	d := NewDigestWriter(t.Name, t.Instructions, uint64(len(t.Branches)))
 	d.WriteBatch(t.Branches)
 	return d.Sum()
+}
+
+// ParseDigest decodes a digest from its 64-hex-digit form, the one
+// the service, the cluster and the trace store's file names carry.
+func ParseDigest(s string) ([sha256.Size]byte, error) {
+	var d [sha256.Size]byte
+	raw, err := hex.DecodeString(s)
+	if err != nil || len(raw) != len(d) {
+		return d, fmt.Errorf("trace: bad digest %q", s)
+	}
+	copy(d[:], raw)
+	return d, nil
 }
 
 // digestRecord is a record's fixed-width form in the digest: PC and
