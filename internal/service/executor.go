@@ -14,20 +14,20 @@ import (
 // runJob drives one job end to end inside a worker: transition to
 // running, execute, classify the outcome (done / failed / canceled /
 // interrupted), persist the result and journal each transition, and
-// fold the job's counters into the manager's global set.
+// fold the job's counters into the manager's global set. A job turns
+// terminal only once its result file and its finish line are on
+// disk: until then, polls read running and Result ErrNotFinished.
 func (m *Manager) runJob(j *Job) {
-	j.mu.Lock()
-	if j.state != StateQueued { // canceled while waiting in the queue
-		j.mu.Unlock()
-		return
-	}
 	ctx, cancel := context.WithCancel(m.ctx)
-	j.state = StateRunning
-	j.cancel = cancel
-	j.started = obs.Now()
-	j.mu.Unlock()
 	defer cancel()
-	m.journalJob(j)
+	j.mu.Lock()
+	j.cancel = cancel // set before the job can read running
+	j.mu.Unlock()
+	if !m.transition(j, StateQueued, func(r *jobRecord) {
+		r.State, r.StartedAt = StateRunning, obs.Now()
+	}) {
+		return // canceled while waiting in the queue
+	}
 
 	if m.hookJobStart != nil {
 		m.hookJobStart(ctx, j)
@@ -43,31 +43,32 @@ func (m *Manager) runJob(j *Job) {
 
 	res, err := m.execute(ctx, j, mergeGlobal)
 
-	j.mu.Lock()
+	state, errText := StateDone, ""
 	switch {
 	case err == nil:
-		j.state = StateDone
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// reason distinguishes a user cancel from a server drain; both
 		// keep the partial-result contract.
-		j.state = j.reason
+		j.mu.Lock()
+		state = j.reason
+		j.mu.Unlock()
 	default:
-		j.state = StateFailed
-		j.errText = err.Error()
+		state, errText = StateFailed, err.Error()
 	}
 	if res != nil {
-		res.State = j.state
-		j.result = res
-	}
-	j.finished = obs.Now()
-	j.mu.Unlock()
-
-	if res != nil {
+		res.State = state
 		if perr := m.persistResult(j.ID, res); perr != nil {
 			fmt.Fprintf(os.Stderr, "bpserved: persisting result %s: %v\n", j.ID, perr)
 		}
+		j.mu.Lock()
+		j.result = res // read only once the state is terminal
+		j.mu.Unlock()
 	}
-	m.journalJob(j)
+	m.transition(j, StateRunning, func(r *jobRecord) {
+		// Stamped after the result's commit: FinishedAt marks when the
+		// job became visible as finished.
+		r.State, r.Error, r.FinishedAt = state, errText, obs.Now()
+	})
 }
 
 // execute evaluates the job tier by tier, each tier in one

@@ -81,16 +81,17 @@ type jobJournal struct {
 
 var errJournalClosed = errors.New("service: job journal closed")
 
-// appendLocked writes one line holding j's record as it is now, in
-// one write call. Reading the state under the journal's lock means
-// that of two lines for one job, the later always holds the later
-// state, however the transitions' appends raced.
-func (jl *jobJournal) appendLocked(j *Job) error {
+// appendLocked writes one line holding rec, a record of a job
+// submitted at table seq seq, in one write call. Callers read the
+// record under the journal's lock, so that of two lines for one job,
+// the later always holds the later state, however the transitions'
+// appends raced.
+func (jl *jobJournal) appendLocked(seq uint64, rec jobRecord) error {
 	if jl.f == nil {
 		return errJournalClosed
 	}
-	jl.seq = max(jl.seq, j.seq)
-	line, err := json.Marshal(journalLine{Seq: jl.seq, Job: j.record()})
+	jl.seq = max(jl.seq, seq)
+	line, err := json.Marshal(journalLine{Seq: jl.seq, Job: rec})
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
@@ -113,12 +114,27 @@ func (jl *jobJournal) stats() (lines int, size int64) {
 	return jl.lines, jl.size
 }
 
-// journalJob journals a transition of j.
-func (m *Manager) journalJob(j *Job) {
-	m.journal.mu.Lock()
-	err := m.journal.appendLocked(j)
-	m.journal.mu.Unlock()
-	reportJournal(j, err)
+// transition moves j out of state from, durable before visible: under
+// the journal's lock, if j is in from, it lets set edit j's record,
+// appends the edited record, and only then sets j's state, error and
+// times from it. So no reader of j sees a state the journal does not
+// hold yet, and two transitions of one job never interleave: a worker
+// cannot start a job whose cancel is being committed. It reports
+// whether j was in from.
+func (m *Manager) transition(j *Job, from State, set func(*jobRecord)) bool {
+	jl := m.journal
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
+	rec := j.record()
+	if rec.State != from {
+		return false
+	}
+	set(&rec)
+	reportJournal(j, jl.appendLocked(j.seq, rec))
+	j.mu.Lock()
+	j.state, j.errText, j.started, j.finished = rec.State, rec.Error, rec.StartedAt, rec.FinishedAt
+	j.mu.Unlock()
+	return true
 }
 
 // reportJournal reports a failed append: the job goes on, and only

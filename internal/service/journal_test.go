@@ -295,6 +295,77 @@ func TestJournalConcurrentSubmitsReplayInOrder(t *testing.T) {
 	}
 }
 
+// TestJournalCancelsRaceStarts cancels every job from its own
+// goroutine while two workers start them, so queued cancels race the
+// workers' start transitions. Each job's journal lines, repeats merged,
+// must follow one lifecycle — queued, then canceled; or queued,
+// running, then done or canceled, where a start line that beat the
+// submit line makes both read running — so no worker started a job
+// whose cancel was committed, and its state once the workers settle
+// must be its last line's.
+func TestJournalCancelsRaceStarts(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewManager(Config{DataDir: dir, Workers: 2, PublishName: "test-journal-cancel-race"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, m)
+	info, err := m.Traces().Ingest(bytes.NewReader(encodeBPT1(t, genTrace(t, 500, 34))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 24
+	var wg sync.WaitGroup
+	for w := 1; w <= jobs; w++ {
+		j, _, err := m.Submit(JobSpec{Trace: info.Digest, Scheme: "gshare", Tiers: []int{4}, Warmup: w})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := m.Cancel(j.ID); err != nil {
+				t.Errorf("Cancel(%s): %v", j.ID, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		settled := 0
+		for _, j := range m.Jobs() {
+			if j.State().terminal() {
+				settled++
+			}
+		}
+		if settled == jobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs settled", settled, jobs)
+		}
+	}
+	lines, err := readJournal(m.journalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make(map[string]string)
+	for _, l := range lines {
+		if st := " " + string(l.Job.State); !strings.HasSuffix(paths[l.Job.ID], st) {
+			paths[l.Job.ID] += st
+		}
+	}
+	for _, j := range m.Jobs() {
+		switch p := paths[j.ID]; strings.TrimPrefix(p, " queued") {
+		case " canceled", " running done", " running canceled":
+			if !strings.HasSuffix(p, " "+string(j.State())) {
+				t.Errorf("job %s reads %s, its journal %q", j.ID, j.State(), p)
+			}
+		default:
+			t.Errorf("job %s journaled %q", j.ID, p)
+		}
+	}
+}
+
 // TestJournalTornTail: a journal cut in the middle of its last line
 // loads, losing only that one transition, while a corrupt line before
 // the last fails the open with an error that names the file.

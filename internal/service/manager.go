@@ -402,7 +402,7 @@ func (m *Manager) SubmitAs(spec JobSpec, tenant string) (*Job, bool, error) {
 	// jobs in submission order. The write itself runs outside mu.
 	m.journal.mu.Lock()
 	m.mu.Unlock()
-	err = m.journal.appendLocked(j)
+	err = m.journal.appendLocked(j.seq, j.record())
 	m.journal.mu.Unlock()
 	reportJournal(j, err)
 	return j, false, nil
@@ -526,8 +526,9 @@ func (m *Manager) jobCountsByState() map[State]int {
 	return counts
 }
 
-// Cancel cancels a job. A queued job turns canceled immediately; a
-// running one returns at once and keeps the partial-result contract
+// Cancel cancels a job. A queued job turns canceled as soon as its
+// journal line is written; a running one returns at once and keeps
+// the partial-result contract
 // (every settled cell stays available, in the result payload and in
 // the ledger). A tier already dispatched to the worker still finishes
 // there and lands in the ledger. Canceling a terminal job is a no-op.
@@ -541,26 +542,22 @@ func (m *Manager) CancelFor(id, tenant string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		j.state = StateCanceled
-		j.finished = obs.Now()
-		j.mu.Unlock()
-		m.journalJob(j)
-		return j, nil
-	case StateRunning:
-		j.reason = StateCanceled
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return j, nil
-	default:
-		j.mu.Unlock()
+	if m.transition(j, StateQueued, func(r *jobRecord) {
+		r.State, r.FinishedAt = StateCanceled, obs.Now()
+	}) {
 		return j, nil
 	}
+	var cancel context.CancelFunc
+	j.mu.Lock()
+	if j.state == StateRunning {
+		j.reason = StateCanceled
+		cancel = j.cancel
+	}
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	return j, nil
 }
 
 // Result returns a job's terminal payload. Live jobs yield
@@ -663,11 +660,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	for {
 		select {
 		case j := <-m.queue:
-			j.mu.Lock()
-			if j.state == StateQueued {
-				j.state = StateInterrupted
-			}
-			j.mu.Unlock()
+			m.transition(j, StateQueued, func(r *jobRecord) { r.State = StateInterrupted })
 		default:
 			goto drained
 		}

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"bpred/internal/atomicfile"
 )
@@ -211,7 +210,6 @@ func crashScript(t *testing.T, m *Manager, traceA, traceB []byte) [][]CellResult
 			t.Fatalf("Submit: %v", err)
 		}
 		waitDone(t, j)
-		waitPersisted(t, m, j)
 		res, err := m.Result(j.ID)
 		if err != nil || res.Partial {
 			t.Fatalf("job %s result = %+v, %v", j.ID, res, err)
@@ -223,34 +221,6 @@ func crashScript(t *testing.T, m *Manager, traceA, traceB []byte) [][]CellResult
 	}
 	drain(t, m)
 	return cells
-}
-
-// waitPersisted waits until a done job's finish is on disk, after its
-// result: its line in the journal or, for a job the table held done
-// when m opened, the snapshot. A job turns done before its result is
-// written, so without this wait the next request's commit could race
-// the result's.
-func waitPersisted(t *testing.T, m *Manager, j *Job) {
-	t.Helper()
-	for _, rec := range readTable(t, m.cfg.DataDir).Jobs {
-		if rec.ID == j.ID && rec.State == StateDone {
-			return
-		}
-	}
-	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
-		lines, err := readJournal(m.journalPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range lines {
-			if l.Job.ID == j.ID && l.Job.State == StateDone {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s's finish never reached the journal", j.ID)
-		}
-	}
 }
 
 // products keeps the files a replay must reproduce byte for byte: the
@@ -335,5 +305,74 @@ func TestCrashMatrix(t *testing.T) {
 				t.Errorf("replay left %d product files, the run that never crashed %d", len(got), len(wantFiles))
 			}
 		})
+	}
+}
+
+// TestJobTurnsDoneOnlyOnceDurable stops a job at its result's commit
+// point (atomicfile.BeforeRename on results/<id>.json). There the job
+// must still read running, Result must answer ErrNotFinished, and the
+// journal must hold no finish line for it. Once the job reads done,
+// its finish line and its result file are already on disk.
+func TestJobTurnsDoneOnlyOnceDurable(t *testing.T) {
+	m := openManager(t, t.TempDir(), "test-durable-done")
+	defer drain(t, m)
+	info, err := m.Traces().Ingest(bytes.NewReader(encodeBPT1(t, genTrace(t, 2000, 43))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu        sync.Mutex
+		committed []string
+	)
+	atomicfile.BeforeRename = func(_, path string) {
+		if filepath.Base(filepath.Dir(path)) != "results" {
+			return
+		}
+		id := strings.TrimSuffix(filepath.Base(path), ".json")
+		mu.Lock()
+		committed = append(committed, id)
+		mu.Unlock()
+		j, err := m.Job(id)
+		if err != nil {
+			t.Errorf("committing the result of %s: %v", id, err)
+			return
+		}
+		if st := j.State(); st != StateRunning {
+			t.Errorf("job %s reads %s while its result commits, want running", id, st)
+		}
+		if _, err := m.Result(id); !errors.Is(err, ErrNotFinished) {
+			t.Errorf("Result(%s) while its result commits: %v, want ErrNotFinished", id, err)
+		}
+		lines, err := readJournal(m.journalPath())
+		if err != nil {
+			t.Error(err)
+		}
+		for _, l := range lines {
+			if l.Job.ID == id && l.Job.State.terminal() {
+				t.Errorf("job %s's %s line was journaled before its result", id, l.Job.State)
+			}
+		}
+	}
+	defer func() { atomicfile.BeforeRename = nil }()
+
+	j, _, err := m.Submit(JobSpec{Trace: info.Digest, Scheme: "gshare", Tiers: []int{4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	mu.Lock()
+	if len(committed) != 1 || committed[0] != j.ID {
+		t.Errorf("results committed: %v, want [%s]", committed, j.ID)
+	}
+	mu.Unlock()
+	if _, err := os.Stat(m.resultPath(j.ID)); err != nil {
+		t.Errorf("job reads done before its result file exists: %v", err)
+	}
+	lines, err := readJournal(m.journalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := lines[len(lines)-1].Job; last.ID != j.ID || last.State != StateDone || last.FinishedAt.IsZero() {
+		t.Errorf("job reads done, journal's last line is %+v, want its done line", last)
 	}
 }

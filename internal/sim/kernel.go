@@ -107,9 +107,9 @@ func genericKernel(p core.Predictor) kernelFunc {
 // Every classic loop trains and scores a counter with one Step lookup
 // (stepCounter). The unmetered loops are //go:noinline leaf functions
 // that take their state as arguments and return (history, misses), so
-// every loop-carried value stays in a register (DESIGN.md §5 gives the
-// loop shape and how to check it); the metered loops call the meter on
-// every branch and stay in closures.
+// every loop-carried value stays in a register, and spell the step out
+// (DESIGN.md §5 gives the shape and why; TestLeafLoopShape checks it);
+// the metered loops call the meter on every branch and stay in closures.
 
 // zeroKernel is the address-indexed (bimodal) fast path: row 0, so
 // only the column index varies. The noinline directive is load-bearing:
@@ -124,8 +124,7 @@ func zeroKernel(tab *counter.Table, meter *core.AliasMeter) kernelFunc {
 	if meter != nil {
 		return func(chunk []trace.Branch) uint64 {
 			var miss uint64
-			for i := range chunk {
-				b := chunk[i]
+			for _, b := range chunk {
 				idx := (b.PC >> 2) & colMask
 				meter.Record(int(idx), b.PC, b.Taken, false)
 				miss += stepCounter(state, step, idx, b.Taken)
@@ -144,10 +143,11 @@ func zeroKernel(tab *counter.Table, meter *core.AliasMeter) kernelFunc {
 //go:noinline
 func zeroLoop(chunk []trace.Branch, state []uint8, step *counter.Step, colMask uint64) (miss uint64) {
 	_, _ = state[colMask], step[0] // hoist the bounds and nil checks
-	for i := range chunk {
-		b := chunk[i]
+	for _, b := range chunk {
 		idx := (b.PC >> 2) & colMask
-		miss += stepCounter(state, step, idx, b.Taken)
+		t := uint64(step[uint64(state[idx])<<1|b2u64(b.Taken)])
+		state[idx] = uint8(t)
+		miss += t >> 8
 	}
 	return miss
 }
@@ -158,7 +158,7 @@ func zeroLoop(chunk []trace.Branch, state []uint8, step *counter.Step, colMask u
 // history's zero low bits; gshare passes all ones, so the address bits
 // above the columns XOR into the row. kernelFor picks it only when the
 // register is as wide as the rows (and gshare skips exactly the
-// table's column bits), so & tableMask also re-masks the history.
+// table's column bits), so & tableMask also masks the history.
 //
 //bpred:kernel
 func globalKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.ShiftRegister, pcMask uint64) kernelFunc {
@@ -169,8 +169,7 @@ func globalKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.Shift
 		return func(chunk []trace.Branch) uint64 {
 			var miss uint64
 			hv := reg.Value() << c
-			for i := range chunk {
-				b := chunk[i]
+			for _, b := range chunk {
 				idx := (hv ^ b.PC>>2&pcMask) & tableMask
 				meter.Record(int(idx), b.PC, b.Taken, hv == histMask)
 				miss += stepCounter(state, step, idx, b.Taken)
@@ -187,27 +186,29 @@ func globalKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.Shift
 	}
 }
 
-// globalLoop is globalKernel's unmetered loop over the pre-shifted
-// history hv.
+// globalLoop is globalKernel's unmetered loop over the pre-shifted history
+// hv, masked only at the index and on return (a left shift never lowers a bit).
 //
 //bpred:kernel
 //go:noinline
 func globalLoop(chunk []trace.Branch, state []uint8, step *counter.Step, hv, one, pcMask, tableMask uint64) (uint64, uint64) {
 	_, _ = state[tableMask], step[0] // hoist the bounds and nil checks
 	var miss uint64
-	for i := range chunk {
-		b := chunk[i]
+	for _, b := range chunk {
 		idx := (hv ^ b.PC>>2&pcMask) & tableMask
-		miss += stepCounter(state, step, idx, b.Taken)
-		hv = (hv<<1 | one&-b2u64(b.Taken)) & tableMask
+		up := b2u64(b.Taken)
+		t := uint64(step[uint64(state[idx])<<1|up])
+		state[idx] = uint8(t)
+		miss += t >> 8
+		hv = hv<<1 | one&-up
 	}
-	return hv, miss
+	return hv & tableMask, miss
 }
 
 // pathKernel is Nair's path-history fast path: row = target-address
 // bit history; AllOnes never applies to path patterns. As in
 // globalKernel, the register is as wide as the rows, so & tableMask
-// re-masks the history.
+// masks the history (pathLoop only at the index and on return).
 //
 //bpred:kernel
 func pathKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.PathRegister) kernelFunc {
@@ -220,8 +221,7 @@ func pathKernel(tab *counter.Table, meter *core.AliasMeter, reg *history.PathReg
 		return func(chunk []trace.Branch) uint64 {
 			var miss uint64
 			hv := reg.Value() << c
-			for i := range chunk {
-				b := chunk[i]
+			for _, b := range chunk {
 				idx := (hv | (b.PC>>2)&colMask) & tableMask
 				meter.Record(int(idx), b.PC, b.Taken, false)
 				miss += stepCounter(state, step, idx, b.Taken)
@@ -253,13 +253,13 @@ func pathLoop(chunk []trace.Branch, state []uint8, step *counter.Step, hv, one, 
 		b := &chunk[i]
 		idx := (hv | (b.PC>>2)&(one-1)) & tableMask
 		up := b2u64(b.Taken)
-		t := step[uint64(state[idx])<<1|up]
+		t := uint64(step[uint64(state[idx])<<1|up])
 		state[idx] = uint8(t)
-		miss += uint64(t >> 8)
+		miss += t >> 8
 		next := b.PC + 4 + (b.Target-b.PC-4)&-up
-		hv = (hv<<(bpt&63) | (next>>2&tgtMask)*one) & tableMask
+		hv = hv<<(bpt&63) | (next>>2&tgtMask)*one
 	}
-	return hv, miss
+	return hv & tableMask, miss
 }
 
 // perAddressKernel is the PAg/PAs fast path. The first-level table is
@@ -379,9 +379,9 @@ func (r *runner) finish() Metrics {
 // stepCounter trains counter idx through the Step table and returns 1
 // when its prediction missed.
 func stepCounter(state []uint8, step *counter.Step, idx uint64, taken bool) uint64 {
-	t := step[uint64(state[idx])<<1|b2u64(taken)]
+	t := uint64(step[uint64(state[idx])<<1|b2u64(taken)])
 	state[idx] = uint8(t)
-	return uint64(t >> 8)
+	return t >> 8
 }
 
 // b2u64 converts a bool to 0/1; the compiler lowers it to a flag

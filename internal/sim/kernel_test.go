@@ -121,8 +121,8 @@ func equivalenceSchemes() map[string]func() core.Predictor {
 }
 
 // checkEquivalent runs generic and batched copies of one scheme over
-// one trace and fails unless every metric and the final second-level
-// state match exactly.
+// one trace and fails unless every metric, the final second-level
+// state and the final global or path history register match exactly.
 func checkEquivalent(t *testing.T, name string, build func() core.Predictor, tr *trace.Trace, opt Options) {
 	t.Helper()
 	ref, fast := build(), build()
@@ -141,7 +141,27 @@ func checkEquivalent(t *testing.T, name string, build func() core.Predictor, tr 
 				break
 			}
 		}
+		if hr, ok := histValue(rt); ok {
+			if hf, _ := histValue(ft); hf != hr {
+				t.Errorf("%s: history register diverges: generic %#x, batched %#x", name, hr, hf)
+			}
+		}
 	}
+}
+
+// histValue returns the value of p's global (ShiftRegister) or path
+// (PathRegister) history register, and false for selectors that keep
+// neither.
+func histValue(p *core.TwoLevel) (uint64, bool) {
+	switch sel := p.Selector().(type) {
+	case *core.GlobalSelector:
+		return sel.Reg().Value(), true
+	case *core.GShareSelector:
+		return sel.Reg().Value(), true
+	case *core.PathSelector:
+		return sel.Reg().Value(), true
+	}
+	return 0, false
 }
 
 // TestKernelEquivalence is the central correctness contract of the
